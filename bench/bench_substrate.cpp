@@ -68,6 +68,28 @@ void BM_FreeIndexReserveRelease(benchmark::State &State) {
 }
 BENCHMARK(BM_FreeIndexReserveRelease);
 
+// PF's step-0 shape: one-word first-fit placements packed into a growing
+// dense prefix, so every query lands in the dirty super at the allocation
+// frontier behind up to 63 saturated words. The prefix is released every
+// four supers (one release, amortized over 16K placements) to keep the
+// walk over the supers below it short.
+void BM_FreeIndexFillFrontier(benchmark::State &State) {
+  constexpr uint64_t ResetWords = 4 * 4096;
+  FreeSpaceIndex F;
+  uint64_t Placed = 0;
+  for (auto _ : State) {
+    if (Placed == ResetWords) {
+      F.release(0, Placed);
+      Placed = 0;
+    }
+    Addr A = F.firstFit(1);
+    benchmark::DoNotOptimize(A);
+    F.reserve(A, 1);
+    ++Placed;
+  }
+}
+BENCHMARK(BM_FreeIndexFillFrontier);
+
 // --- Bitboard kernels -------------------------------------------------------
 // The packed-occupancy primitives the placement queries are built from:
 // span extraction (with and without the cross-word shift path), the

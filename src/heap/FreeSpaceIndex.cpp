@@ -111,6 +111,15 @@ void FreeSpaceIndex::noteReserve(uint64_t S, uint64_t E) {
     Sp.FreeCount = uint16_t(Sp.FreeCount - (Hi - Lo));
     Sp.Pre = std::min(Sp.Pre, uint16_t(Lo - B));
     Sp.Suf = std::min(Sp.Suf, uint16_t(WEnd - Hi));
+    // The range's interior words are saturated by construction; only its
+    // two boundary words need a look.
+    unsigned WLo = unsigned((Lo - B) / WordBits);
+    unsigned WHi = unsigned((Hi - 1 - B) / WordBits);
+    const uint64_t *W = Occ.words() + I * SuperWords;
+    uint64_t Full = WHi > WLo ? bitRange(WLo + 1, WHi) : 0;
+    Full |= uint64_t(W[WLo] == ~uint64_t(0)) << WLo;
+    Full |= uint64_t(W[WHi] == ~uint64_t(0)) << WHi;
+    Sp.FullWords |= Full;
     // Splitting runs only shrinks them, so the stale Max stays an upper
     // bound until a descent recomputes it.
     Sp.Dirty = true;
@@ -125,6 +134,8 @@ void FreeSpaceIndex::noteRelease(uint64_t S, uint64_t E) {
     uint64_t B = uint64_t(I) * SuperBits, WEnd = B + SuperBits;
     uint64_t Lo = std::max(S, B), Hi = std::min(E, WEnd);
     Sp.FreeCount = uint16_t(Sp.FreeCount + (Hi - Lo));
+    Sp.FullWords &= ~bitRange(unsigned((Lo - B) / WordBits),
+                              unsigned((Hi - 1 - B) / WordBits) + 1);
     if (Sp.FreeCount == SuperBits) {
       Sp.Pre = Sp.Suf = Sp.Max = uint16_t(SuperBits);
       Sp.Trans = 0;
@@ -217,6 +228,37 @@ void FreeSpaceIndex::recomputeSuper(size_t I) const {
   S.FreeCount = uint16_t(Free);
   S.ClassMask = CMask;
   S.Dirty = false;
+}
+
+bool FreeSpaceIndex::checkDigests(std::string *Why) const {
+  for (size_t I = 0; I != Sum.size(); ++I) {
+    const Super &S = Sum[I];
+    const uint64_t *W = Occ.words() + I * SuperWords;
+    const uint64_t B = uint64_t(I) * SuperBits, WEnd = B + SuperBits;
+    uint64_t Free = 0, Full = 0;
+    for (unsigned WI = 0; WI != SuperWords; ++WI) {
+      Free += WordBits - popcount64(W[WI]);
+      Full |= uint64_t(W[WI] == ~uint64_t(0)) << WI;
+    }
+    uint64_t Last = findSetBackIn(Occ, B, WEnd);
+    const std::pair<const char *, std::pair<uint64_t, uint64_t>> Fields[] = {
+        {"FullWords", {S.FullWords, Full}},
+        {"FreeCount", {S.FreeCount, Free}},
+        {"Pre", {S.Pre, findSetIn(Occ, B, WEnd) - B}},
+        {"Suf", {S.Suf, Last == PackedBitmap::NoBit ? SuperBits
+                                                    : WEnd - (Last + 1)}}};
+    for (const auto &[Name, HaveWant] : Fields) {
+      if (HaveWant.first == HaveWant.second)
+        continue;
+      if (Why)
+        *Why = "super " + std::to_string(I) + " digest " + Name + " is " +
+               std::to_string(HaveWant.first) +
+               " but its occupancy words give " +
+               std::to_string(HaveWant.second);
+      return false;
+    }
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -391,48 +433,6 @@ bool scanWords(const PackedBitmap &Occ, uint64_t FromBit, uint64_t ToBit,
   return false;
 }
 
-/// First-fit specialization of the word scan over [FromBit, ToBit)
-/// (ToBit word-aligned, bits below FromBit treated as used): the lowest
-/// block start where \p Size bits fit, or InvalidAddr when the range
-/// ends without one (\p Run then carries the trailing open run). Exits
-/// as soon as the open run reaches \p Size — the block's start is
-/// already determined, its end is irrelevant — and rejects whole words
-/// with one shift-AND chain instead of chopping out their runs.
-Addr scanFirstFit(const PackedBitmap &Occ, uint64_t FromBit, uint64_t ToBit,
-                  uint64_t &Run, uint64_t Size, uint64_t &Probes) {
-  size_t W0 = size_t(FromBit / WordBits), W1 = size_t(ToBit / WordBits);
-  for (size_t WI = W0; WI != W1; ++WI) {
-    uint64_t U = Occ.word(WI);
-    if (WI == W0)
-      U |= lowMask(unsigned(FromBit % WordBits));
-    if (U == 0) {
-      Run += WordBits;
-      if (Run >= Size)
-        return Addr(uint64_t(WI + 1) * WordBits - Run);
-      continue;
-    }
-    uint64_t Base = uint64_t(WI) * WordBits;
-    unsigned T = countTrailingZeros(U);
-    if (Run + T >= Size)
-      return Addr(Base - Run); // the carried run completes here
-    uint64_t F = ~U;
-    if (Size <= WordBits) {
-      // Lowest in-word window of Size free bits; its predecessor bit is
-      // necessarily used (else a lower window existed), so it is a block
-      // start.
-      uint64_t M = runsGE(F, Size);
-      if (M != 0)
-        return Addr(Base + countTrailingZeros(M));
-    }
-    // No fit starts in this word: count its completed runs (ends with a
-    // free predecessor, plus a carried run cut at bit 0) and carry the
-    // free suffix.
-    Probes += popcount64(U & (F << 1)) + uint64_t(Run != 0 && T == 0);
-    Run = WordBits - 1 - topBitIndex(U);
-  }
-  return InvalidAddr;
-}
-
 } // namespace
 
 template <typename FnT>
@@ -511,14 +511,65 @@ bool FreeSpaceIndex::scanSuperFused(size_t I, uint64_t &Run, FnT &&Fn) const {
   return Stopped;
 }
 
+Addr FreeSpaceIndex::scanFirstFit(size_t I, unsigned FromOff, uint64_t &Run,
+                                  uint64_t Size, uint64_t &Probes) const {
+  // Exits as soon as the open run reaches Size — the block's start is
+  // already determined, its end is irrelevant — and rejects whole words
+  // with one shift-AND chain instead of chopping out their runs.
+  const uint64_t *W = Occ.words() + I * SuperWords;
+  const uint64_t Full = Sum[I].FullWords;
+  const uint64_t Base = uint64_t(I) * SuperBits;
+  const unsigned W0 = FromOff / WordBits;
+  for (unsigned WI = W0; WI != SuperWords; ++WI) {
+    if ((Full >> WI) & 1) {
+      // A run of saturated words completes the carried run (one probe,
+      // exactly as a word-by-word sweep counts it) and starts none:
+      // resume at the next word with a free bit.
+      Probes += uint64_t(Run != 0);
+      Run = 0;
+      uint64_t Open = ~Full & ~lowMask(WI);
+      if (Open == 0)
+        return InvalidAddr;
+      WI = countTrailingZeros(Open);
+    }
+    uint64_t U = W[WI];
+    if (WI == W0)
+      U |= lowMask(FromOff % WordBits);
+    const uint64_t WBase = Base + uint64_t(WI) * WordBits;
+    if (U == 0) {
+      Run += WordBits;
+      if (Run >= Size)
+        return Addr(WBase + WordBits - Run);
+      continue;
+    }
+    unsigned T = countTrailingZeros(U);
+    if (Run + T >= Size)
+      return Addr(WBase - Run); // the carried run completes here
+    uint64_t F = ~U;
+    if (Size <= WordBits) {
+      // Lowest in-word window of Size free bits; its predecessor bit is
+      // necessarily used (else a lower window existed), so it is a block
+      // start.
+      uint64_t M = runsGE(F, Size);
+      if (M != 0)
+        return Addr(WBase + countTrailingZeros(M));
+    }
+    // No fit starts in this word: count its completed runs (ends with a
+    // free predecessor, plus a carried run cut at bit 0) and carry the
+    // free suffix.
+    Probes += popcount64(U & (F << 1)) + uint64_t(Run != 0 && T == 0);
+    Run = WordBits - 1 - topBitIndex(U);
+  }
+  return InvalidAddr;
+}
+
 Addr FreeSpaceIndex::firstFitInSuper(size_t I, uint64_t &Run, uint64_t Size,
                                      uint64_t &Probes) const {
   // Two passes beat one fused sweep here: most stale descents find their
   // fit (and exit early), so the hit path runs the lean word scan with no
   // digest bookkeeping at all; only the no-fit minority pays the second,
   // digest-banking pass over the same 64 words.
-  const uint64_t Base = uint64_t(I) * SuperBits;
-  Addr Hit = scanFirstFit(Occ, Base, Base + SuperBits, Run, Size, Probes);
+  Addr Hit = scanFirstFit(I, 0, Run, Size, Probes);
   if (Hit == InvalidAddr)
     recomputeSuper(I);
   return Hit;
@@ -619,9 +670,7 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
   if (From < Cap) {
     size_t SI = size_t(From / SuperBits);
     if (From % SuperBits != 0) {
-      Found =
-          scanFirstFit(Occ, From, uint64_t(SI + 1) * SuperBits, Run, Size,
-                       Probes);
+      Found = scanFirstFit(SI, unsigned(From % SuperBits), Run, Size, Probes);
       ++SI;
     }
     const size_t NS = Sum.size();
@@ -645,10 +694,8 @@ Addr FreeSpaceIndex::firstFitFrom(Addr From, uint64_t Size) const {
         // mutation. A stale skip cannot happen. Clean supers promise an
         // in-window fit (Max is exact), so their scan never wastes a
         // full sweep.
-        Found = S.Dirty
-                    ? firstFitInSuper(I, Run, Size, Probes)
-                    : scanFirstFit(Occ, Base, Base + SuperBits, Run, Size,
-                                   Probes);
+        Found = S.Dirty ? firstFitInSuper(I, Run, Size, Probes)
+                        : scanFirstFit(I, 0, Run, Size, Probes);
         continue;
       }
       Probes += uint64_t(Run + S.Pre != 0);

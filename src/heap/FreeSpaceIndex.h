@@ -17,10 +17,11 @@
 /// word stores, and every query is a summary-guided scan: the bitmap is
 /// grouped into 4096-bit supers, each with a lazily recomputed digest
 /// (free-bit count, prefix/suffix/max zero-run lengths, run-start count,
-/// and a size-class mask of its interior runs) that lets scans skip whole
-/// supers and assemble runs spanning supers from prefix/suffix arithmetic
-/// alone. Free blocks are never materialized; they are *views* of the
-/// occupancy words, so the index cannot drift from the heap.
+/// a size-class mask of its interior runs, and a mask of its saturated
+/// words) that lets scans skip whole supers and full words, and assemble
+/// runs spanning supers from prefix/suffix arithmetic alone. Free blocks
+/// are never materialized; they are *views* of the occupancy words, so
+/// the index cannot drift from the heap.
 ///
 /// The bitmap covers only the committed prefix of the 2^60-word address
 /// space; everything above is implicitly free (the model's infinite
@@ -49,6 +50,7 @@
 #include <cstdint>
 #include <iterator>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -180,6 +182,12 @@ public:
     Addr S, E;
   };
 
+  /// Recomputes every super's always-exact digest fields (FreeCount, Pre,
+  /// Suf, FullWords) from the occupancy words. On a mismatch returns
+  /// false and, when \p Why is non-null, names the first stale super and
+  /// field. O(committed words): a consistency check, not a query.
+  bool checkDigests(std::string *Why = nullptr) const;
+
   const_iterator begin() const {
     auto [S, E] = nextFreeRun(0);
     return const_iterator(this, S, E);
@@ -197,17 +205,22 @@ private:
   static constexpr uint64_t MaxDenseBits = uint64_t(1) << 26;
   static constexpr unsigned NumClasses = 61;
 
-  /// Per-super digest. FreeCount, Pre and Suf are maintained exactly by
-  /// every mutation (O(1) for reserve, a window-bounded bit scan for
-  /// release), so run assembly across skipped supers never recomputes
-  /// anything. Max degrades to a sound *upper bound* while Dirty (a
-  /// reserve can only shrink runs; a release folds its merged run in), so
-  /// it still filters descents — a stale pass costs one recompute, a
-  /// stale skip cannot happen. Trans and ClassMask are only valid when
-  /// clean; the queries that need them (numBlocksBelow, bestFit)
-  /// recompute on the way. A fully free super has FreeCount == SuperBits
-  /// (and canonical Pre = Suf = Max = SuperBits, Trans = 0,
-  /// ClassMask = 0, Dirty = false).
+  /// Per-super digest. FreeCount, Pre, Suf and FullWords are maintained
+  /// exactly by every mutation (O(1) for reserve, a window-bounded bit
+  /// scan for release), so run assembly across skipped supers never
+  /// recomputes anything. FullWords has bit w set when occupancy word w
+  /// of the window has no free bit: a reserve sets the bits of the words
+  /// it saturates (its interior words always, its two boundary words when
+  /// they end up full), a release clears the bits of every word it
+  /// touches. First fit jumps over a run of saturated words with one ctz
+  /// of ~FullWords instead of visiting each. Max degrades to a sound
+  /// *upper bound* while Dirty (a reserve can only shrink runs; a release
+  /// folds its merged run in), so it still filters descents — a stale
+  /// pass costs one recompute, a stale skip cannot happen. Trans and
+  /// ClassMask are only valid when clean; the queries that need them
+  /// (numBlocksBelow, bestFit) recompute on the way. A fully free super
+  /// has FreeCount == SuperBits (and canonical Pre = Suf = Max =
+  /// SuperBits, Trans = 0, ClassMask = FullWords = 0, Dirty = false).
   struct Super {
     uint16_t Pre = 0;      ///< leading free bits (always exact)
     uint16_t Suf = 0;      ///< trailing free bits (always exact)
@@ -216,7 +229,9 @@ private:
     uint16_t FreeCount = 0;///< free bits in the window (always exact)
     bool Dirty = false;
     uint64_t ClassMask = 0;///< classes of runs interior to the window
+    uint64_t FullWords = 0;///< words with no free bit (always exact)
   };
+  static_assert(SuperWords == 64, "FullWords holds one bit per word");
 
   /// Size class of a block: floor(log2(size)). Class K holds sizes in
   /// [2^K, 2^(K+1)).
@@ -280,6 +295,13 @@ private:
   /// (so the super's now-exact Max skips it until the next mutation).
   Addr firstFitInSuper(size_t I, uint64_t &Run, uint64_t Size,
                        uint64_t &Probes) const;
+
+  /// First-fit sweep of super \p I's words from bit offset \p FromOff:
+  /// the lowest block start where \p Size bits fit, or InvalidAddr when
+  /// the window ends without one (\p Run then carries its trailing open
+  /// run). Saturated words are jumped over via the FullWords digest.
+  Addr scanFirstFit(size_t I, unsigned FromOff, uint64_t &Run, uint64_t Size,
+                    uint64_t &Probes) const;
 
   /// Recomputes Sum[I] from the occupancy words if dirty.
   void ensureClean(size_t I) const;

@@ -181,6 +181,9 @@ bool Heap::checkConsistency(std::string *Why) const {
                 " does not match recount " + std::to_string(LiveWords));
   if (MaxEnd > Stats.HighWaterMark)
     return Fail("an object ends above the recorded high-water mark");
+  std::string DigestWhy;
+  if (!Free.checkDigests(&DigestWhy))
+    return Fail("free index: " + DigestWhy);
   return true;
 }
 

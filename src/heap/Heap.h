@@ -130,10 +130,11 @@ public:
   }
 
   /// Full structural self-check: live objects are disjoint, the free
-  /// index is exactly their complement, the start-bit index agrees, and
-  /// the statistics match a recount. O(objects + free blocks); meant
-  /// for tests and the fuzzing oracle. When \p Why is non-null and the
-  /// check fails, it receives a one-line diagnosis of the first
+  /// index is exactly their complement, the start-bit index agrees, the
+  /// statistics match a recount, and the free index's always-exact
+  /// digests match its occupancy words. O(objects + committed words);
+  /// meant for tests and the fuzzing oracle. When \p Why is non-null and
+  /// the check fails, it receives a one-line diagnosis of the first
   /// inconsistency found.
   bool checkConsistency(std::string *Why = nullptr) const;
 

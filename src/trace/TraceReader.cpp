@@ -7,6 +7,8 @@
 
 #include "trace/TraceReader.h"
 
+#include "heap/HeapTypes.h"
+
 #include <istream>
 #include <sstream>
 
@@ -76,6 +78,17 @@ bool TraceReader::apply(MallocOp &Op) {
   if (Op.isAlloc()) {
     if (Op.Size == 0)
       return fail("zero-word allocation (id " + std::to_string(Op.Id) + ")");
+    // The simulated heap spans AddrLimit words: no larger object fits, and
+    // neither does a live set past it (LiveWords <= AddrLimit, so the
+    // check itself cannot overflow).
+    if (Op.Size >= AddrLimit)
+      return fail("allocation of " + std::to_string(Op.Size) + " words (id " +
+                  std::to_string(Op.Id) +
+                  ") does not fit the 2^60-word address space");
+    if (Op.Size > AddrLimit - LiveWords)
+      return fail("allocation of " + std::to_string(Op.Size) + " words (id " +
+                  std::to_string(Op.Id) + ") raises the live words past the "
+                  "2^60-word address space");
     auto [It, Inserted] = Live.emplace(Op.Id, Op.Size);
     if (!Inserted)
       return fail("allocation of id " + std::to_string(Op.Id) +

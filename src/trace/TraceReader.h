@@ -16,10 +16,12 @@
 ///
 /// Validation mirrors driver/TraceIO: structural damage (bad header or
 /// version, unknown tags, truncated records, trailing garbage) and
-/// schedule damage (zero-size allocation, allocating an id that is still
-/// live, freeing an id that is not) all fail with a diagnostic naming the
-/// line (text) or record ordinal (binary). After a failure next() returns
-/// false forever and error() describes the damage.
+/// schedule damage (zero-size allocation, an allocation of 2^60 words or
+/// more or one that would lift the live words past 2^60 — the simulated
+/// address space — allocating an id that is still live, freeing an id
+/// that is not) all fail with a diagnostic naming the line (text) or
+/// record ordinal (binary). After a failure next() returns false forever
+/// and error() describes the damage.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,12 +13,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "heap/FreeSpaceIndex.h"
+#include "obs/Profiler.h"
 #include "support/Random.h"
 #include "testsupport/ReferenceFreeSpaceIndex.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -195,6 +199,129 @@ TEST(IndexEquivalenceStress, MaskExtractionAtWordBoundaries) {
   Fast.release(128, 64);
   for (Addr Start : {Addr(0), Addr(62), Addr(63), Addr(64), Addr(127)})
     CheckWindow(Start);
+}
+
+/// PF's step-0 frontier shape: a dense prefix of one-word first-fit
+/// objects filling three and a half 4096-bit supers, then a fixed
+/// pseudo-random mix of holes punched at word seams (bits 63/64) and
+/// super edges, one-word refills, and 2^i first-fit / first-fit-from
+/// fills. Placements are the reference's answers; the fast index's
+/// answers to the same placement queries are compared on the way.
+/// \p AfterOp(Op) runs after every mutation.
+template <typename AfterT>
+void runFrontierScript(FreeSpaceIndex &Fast, ReferenceFreeSpaceIndex &Ref,
+                       AfterT AfterOp) {
+  constexpr uint64_t SuperBits = 4096;
+  constexpr uint64_t FillWords = 3 * SuperBits + SuperBits / 2;
+  std::map<Addr, uint64_t> Reserved; // start -> size
+  Addr HighWater = 0;
+  int Op = 0;
+  auto Place = [&](Addr A, uint64_t Size) {
+    Fast.reserve(A, Size);
+    Ref.reserve(A, Size);
+    Reserved[A] = Size;
+    HighWater = std::max<Addr>(HighWater, A + Size);
+    AfterOp(Op++);
+  };
+  // Releases the object covering \p A, if any.
+  auto ReleaseAt = [&](Addr A) {
+    auto It = Reserved.upper_bound(A);
+    if (It == Reserved.begin())
+      return;
+    --It;
+    auto [S, Size] = *It;
+    if (A >= S + Size)
+      return;
+    Fast.release(S, Size);
+    Ref.release(S, Size);
+    Reserved.erase(It);
+    AfterOp(Op++);
+  };
+  auto FirstFit = [&](uint64_t Size) {
+    Addr A = Ref.firstFit(Size);
+    EXPECT_EQ(Fast.firstFit(Size), A) << "firstFit(" << Size << ")";
+    return A;
+  };
+
+  for (uint64_t I = 0; I != FillWords; ++I)
+    Place(FirstFit(1), 1);
+
+  Rng R(17);
+  for (int K = 0; K != 3000; ++K) {
+    switch (R.nextBelow(8)) {
+    case 0:
+    case 1: { // a seam in the prefix: bit 63 or bit 64 of a word pair
+      Addr W = R.nextBelow(FillWords / 64 - 1);
+      ReleaseAt(W * 64 + 63 + R.nextBelow(2));
+      break;
+    }
+    case 2: { // a super edge: the last bit of one super or the first of
+              // the next
+      Addr J = 1 + R.nextBelow(3);
+      ReleaseAt(J * SuperBits - R.nextBelow(2));
+      break;
+    }
+    case 3: // anywhere below the high-water mark
+      ReleaseAt(R.nextBelow(HighWater));
+      break;
+    case 4: // a one-word refill
+      Place(FirstFit(1), 1);
+      break;
+    case 5:
+    case 6: { // a 2^i fill, packed above the high-water mark once the
+              // holes run out
+      uint64_t Size = uint64_t(1) << R.nextBelow(8);
+      Place(FirstFit(Size), Size);
+      break;
+    }
+    case 7: {
+      uint64_t Size = uint64_t(1) << R.nextBelow(8);
+      Addr From = R.nextBelow(HighWater + 64);
+      Addr A = Ref.firstFitFrom(From, Size);
+      EXPECT_EQ(Fast.firstFitFrom(From, Size), A)
+          << "firstFitFrom(" << From << ", " << Size << ")";
+      Place(A, Size);
+      break;
+    }
+    }
+  }
+}
+
+// The dense allocation frontier: every fit query lands in (or runs
+// through) supers whose words are mostly saturated, so the first-fit
+// scan's skip over full words, and the digest upkeep behind it, are
+// exercised at word seams and super edges after every mutation.
+TEST(IndexEquivalenceStress, DenseFrontierFill) {
+  FreeSpaceIndex Fast;
+  ReferenceFreeSpaceIndex Ref;
+  Rng Q(29);
+  runFrontierScript(Fast, Ref, [&](int Op) {
+    uint64_t QSize = 1 + Q.nextBelow(Q.nextBool(0.5) ? 4 : 200);
+    Addr From = Q.nextBelow(5 * 4096);
+    uint64_t Align = uint64_t(1) << Q.nextBelow(8);
+    Addr Limit = 1 + Q.nextBelow(5 * 4096);
+    expectQueriesMatch(Fast, Ref, QSize, From, Align, Limit, Op);
+    std::string Why;
+    EXPECT_TRUE(Fast.checkDigests(&Why)) << "op " << Op << ": " << Why;
+    if (Op % 512 == 0)
+      expectBlocksMatch(Fast, Ref, Op);
+  });
+  expectBlocksMatch(Fast, Ref, -1);
+}
+
+// The fit-probe counter is a gated work metric: the frontier script's
+// placement queries must probe exactly as many boundary-class blocks as
+// the word-by-word first-fit sweep did. A run of saturated words cuts at
+// most one carried run, so skipping it adds at most one probe.
+TEST(IndexEquivalenceStress, FrontierFitProbesPinned) {
+  FreeSpaceIndex Fast;
+  ReferenceFreeSpaceIndex Ref;
+  Profiler P;
+  {
+    ProfilerScope Scope(P);
+    runFrontierScript(Fast, Ref, [](int) {});
+  }
+  EXPECT_EQ(P.counter(Profiler::CtrFitProbes), 10720u);
 }
 
 } // namespace

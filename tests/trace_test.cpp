@@ -220,6 +220,36 @@ TEST(TraceReject, ZeroSizeAllocation) {
   expectRejected("pcbtrace 1 text\na 1 0\n", "zero-word allocation");
 }
 
+TEST(TraceReject, AllocationPastTheAddressSpace) {
+  // 2^60 words is the simulated address space; 2^62 and 2^64 - 1 used to
+  // reach the heap and abort.
+  expectRejected("pcbtrace 1 text\na 1 4\na 2 1152921504606846976\n",
+                 "line 3: allocation of 1152921504606846976 words (id 2)");
+  expectRejected("pcbtrace 1 text\na 1 4611686018427387904\n",
+                 "does not fit the 2^60-word address space");
+  expectRejected("pcbtrace 1 text\na 1 18446744073709551615\n",
+                 "line 2: allocation of 18446744073709551615 words");
+}
+
+TEST(TraceReject, LiveWordsPastTheAddressSpace) {
+  // Each allocation fits alone; the third lifts the live words past 2^60.
+  // Exactly 2^60 live words are still accepted.
+  expectRejected("pcbtrace 1 text\na 1 576460752303423487\n"
+                 "a 2 576460752303423487\na 3 2\na 4 1\n",
+                 "line 5: allocation of 1 words (id 4) raises the live words");
+  std::vector<MallocOp> Ops = {
+      {MallocOp::Kind::Alloc, 1, uint64_t(1) << 59},
+      {MallocOp::Kind::Alloc, 2, (uint64_t(1) << 59) - 1},
+      {MallocOp::Kind::Alloc, 3, 2}};
+  std::istringstream IS(serialize(Ops, TraceFraming::Binary));
+  TraceReader R(IS);
+  readAll(R);
+  ASSERT_TRUE(R.failed());
+  EXPECT_NE(R.error().find("record 3: allocation of 2 words (id 3)"),
+            std::string::npos)
+      << R.error();
+}
+
 TEST(TraceReject, AllocationOfLiveId) {
   expectRejected("pcbtrace 1 text\na 1 4\na 1 2\n",
                  "allocation of id 1");

@@ -5,8 +5,9 @@ Usage: compare_bench.py BASELINE.json FRESH.json [--max-regression PCT]
 
 Fails (exit 1) when the fresh run's steps_per_second has regressed by
 more than --max-regression percent (default 20) relative to the
-baseline, or when the two runs measured different grids (comparing
-steps/sec across different grids is meaningless). Also prints the
+baseline, or when the two runs measured different grids or ran at
+different thread counts (comparing steps/sec across either is
+meaningless). Also prints the
 per-phase ns_per_call and calls deltas so CI logs show where time
 moved, and fails when a substrate phase (heap.*, fsi.*, mm.compact)
 regressed by more than --max-phase-regression percent (default 25):
@@ -65,8 +66,10 @@ def main():
     base = load(args.baseline)
     fresh = load(args.fresh)
 
-    # The throughput number is only comparable on an identical grid.
-    for key in ("bench", "logm", "logn", "cs", "total_steps"):
+    # The throughput number is only comparable on an identical grid, run
+    # at the same thread count (a multi-threaded run on a many-core box
+    # would hide a single-thread regression several times over).
+    for key in ("bench", "logm", "logn", "cs", "total_steps", "threads"):
         if base.get(key) != fresh.get(key):
             print(f"error: grid mismatch on '{key}': baseline "
                   f"{base.get(key)!r} vs fresh {fresh.get(key)!r}",

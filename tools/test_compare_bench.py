@@ -3,9 +3,10 @@
 
 Covers the gate's decision table: pass on a matching run, fail on
 throughput and gated-phase regressions, tolerate ungated-phase noise,
-reject grid mismatches, and — the regression this file pins — report
-phases present on only one side as named warnings instead of silently
-skipping them (new phase) or never mentioning them (vanished phase).
+reject grid mismatches (thread count included), and — the regression
+this file pins — report phases present on only one side as named
+warnings instead of silently skipping them (new phase) or never
+mentioning them (vanished phase).
 Also covers the reallocation family's quality gate: per-cell overhead
 ratios (overhead_cells) fail on growth past --max-overhead-growth,
 warn by name when a cell exists on only one side, and the mm.realloc
@@ -29,6 +30,7 @@ BASE = {
     "bench": "fleet",
     "arenas": [4, 8],
     "sessions": 100000,
+    "threads": 1,
     "total_steps": 1000,
     "steps_per_second": 1000.0,
     "per_phase": [
@@ -116,6 +118,17 @@ class CompareBenchTest(unittest.TestCase):
         code, out = run_compare(BASE, fresh)
         self.assertEqual(code, 1)
         self.assertIn("grid mismatch", out)
+
+    def test_thread_count_mismatch_fails(self):
+        # A run at more threads than the baseline can post a higher
+        # steps_per_second over a single-thread regression; the thread
+        # count is part of the grid identity, so it never gets compared.
+        fresh = copy.deepcopy(BASE)
+        fresh["threads"] = 4
+        fresh["steps_per_second"] = 2500.0
+        code, out = run_compare(BASE, fresh)
+        self.assertEqual(code, 1)
+        self.assertIn("grid mismatch on 'threads'", out)
 
     def test_new_phase_warns_by_name_and_passes(self):
         fresh = copy.deepcopy(BASE)
