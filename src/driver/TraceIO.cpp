@@ -10,6 +10,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <unordered_set>
 
 using namespace pcb;
 
@@ -43,6 +44,28 @@ bool pcb::readEventLog(std::istream &IS, EventLog &Log,
     Log.clear();
     return false;
   };
+  // The heap model asserts these, so a record violating them is a
+  // domain error here: every object has a size in [1, AddrLimit) and
+  // lies entirely inside the 2^60-word address space.
+  auto BadRange = [](const char *Record, Addr A, uint64_t Size) {
+    std::string Where = std::string(Record) + " record";
+    if (Size == 0)
+      return Where + " of zero words";
+    if (Size >= AddrLimit)
+      return Where + " of " + std::to_string(Size) +
+             " words does not fit the 2^60-word address space";
+    if (A > AddrLimit - Size)
+      return Where + " of " + std::to_string(Size) + " words at address " +
+             std::to_string(A) + " ends past the 2^60-word address space";
+    return std::string();
+  };
+  // Frees and moves must name an object an earlier record allocated:
+  // there is no other way to know what they release.
+  std::unordered_set<ObjectId> Allocated;
+  auto Unallocated = [](const char *Record, ObjectId Id) {
+    return std::string(Record) + " record names id " + std::to_string(Id) +
+           ", which no earlier allocation record created";
+  };
   std::string Line;
   while (std::getline(IS, Line)) {
     ++LineNo;
@@ -54,20 +77,33 @@ bool pcb::readEventLog(std::istream &IS, EventLog &Log,
     ObjectId Id;
     Addr A, B;
     uint64_t Size;
+    std::string Bad;
     switch (Tag) {
     case 'A':
       if (!(LS >> Id >> A >> Size))
         return Fail("truncated or malformed allocation record");
+      if (!(Bad = BadRange("allocation", A, Size)).empty())
+        return Fail(Bad);
+      Allocated.insert(Id);
       Log.record(HeapEvent::alloc(Id, A, Size));
       break;
     case 'F':
       if (!(LS >> Id >> A >> Size))
         return Fail("truncated or malformed free record");
+      if (!(Bad = BadRange("free", A, Size)).empty())
+        return Fail(Bad);
+      if (!Allocated.count(Id))
+        return Fail(Unallocated("free", Id));
       Log.record(HeapEvent::release(Id, A, Size));
       break;
     case 'M':
       if (!(LS >> Id >> A >> B >> Size))
         return Fail("truncated or malformed move record");
+      if (!(Bad = BadRange("move", A, Size)).empty() ||
+          !(Bad = BadRange("move", B, Size)).empty())
+        return Fail(Bad);
+      if (!Allocated.count(Id))
+        return Fail(Unallocated("move", Id));
       Log.record(HeapEvent::move(Id, A, B, Size));
       break;
     case 'S':

@@ -17,6 +17,10 @@
 ///
 /// Reading tolerates blank lines and comments; any other malformed line
 /// fails the whole parse (returning false) rather than silently skipping.
+/// Malformed includes records outside the heap model's domain: a size of
+/// zero or of 2^60 words or more, an address range ending past the
+/// 2^60-word address space, and a free or move of an id that no earlier
+/// allocation record created.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +40,8 @@ void writeEventLog(std::ostream &OS, const EventLog &Log);
 /// Parses a log previously written by writeEventLog. Returns false (and
 /// leaves \p Log empty) on any malformed line; when \p Error is non-null
 /// it then receives a diagnostic naming the line number and the reason
-/// (truncated record, unknown tag, trailing garbage).
+/// (truncated record, unknown tag, trailing garbage, out-of-domain
+/// record).
 bool readEventLog(std::istream &IS, EventLog &Log,
                   std::string *Error = nullptr);
 

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -78,12 +77,9 @@ DifferentialHarness::runPolicy(const std::string &Policy,
   // The heap-parity mirror is fed the original event first: it tracks
   // the real heap, and must stay immune to injected log corruption.
   EventLog Log;
-  std::optional<HeapParityChecker> Parity;
-  if (Opts.HeapParity)
-    Parity.emplace(H);
+  HeapParityChecker Parity(H);
   H.setEventCallback([this, &Log, &Parity](const HeapEvent &E) {
-    if (Parity)
-      Parity->observe(E);
+    Parity.observe(E);
     HeapEvent Copy = E;
     if (!Opts.LogTap || Opts.LogTap(Copy))
       Log.record(Copy);
@@ -107,8 +103,7 @@ DifferentialHarness::runPolicy(const std::string &Policy,
     Log.record(HeapEvent::stepEnd());
     ++Step;
     Oracle.checkStep(Step, R.Violations);
-    if (Parity)
-      Parity->checkStep(Policy, Step, R.Violations);
+    Parity.checkStep(Policy, Step, R.Violations);
   }
   // The endpoint is always checked deeply, whatever the cadence.
   Oracle.checkDeep(Step, R.Violations);

@@ -15,6 +15,11 @@
 /// non-moving managers must never move, and the designated replay-check
 /// policy must reproduce byte-identical statistics when run twice
 /// (placement policies are deterministic functions of the schedule).
+/// A HeapParityChecker mirrors every run's heap into the ReferenceHeap
+/// and compares the two after every step — free blocks, placement
+/// queries, object table, statistics, and occupancy/start masks. It is
+/// policy-invisible (the managers never see the reference heap) and
+/// always on.
 ///
 /// On failure the harness shrinks the schedule with delta debugging
 /// (chunked op removal at halving granularity, then per-op removal, then
@@ -97,12 +102,6 @@ public:
     /// Stop collecting per-run violations beyond this many (a broken
     /// substrate would otherwise report one per step).
     size_t MaxViolationsPerRun = 16;
-    /// Cross-check the live bitboard heap against the preserved
-    /// pre-bitboard ReferenceHeap on every step — free blocks, placement
-    /// queries, object table, statistics, and occupancy/start masks (the
-    /// 14th, policy-invisible checker: the managers never see the
-    /// reference heap).
-    bool HeapParity = true;
     /// Observation port: invoked with each per-policy Execution right
     /// after construction, before any step runs. Lets callers attach
     /// step observers (e.g. a TimelineSampler recording the heap state

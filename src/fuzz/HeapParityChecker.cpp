@@ -41,7 +41,7 @@ void HeapParityChecker::checkStep(const std::string &Policy, uint64_t Step,
 
   // Free-space structural parity: same blocks, same order.
   const FreeSpaceIndex &Live = H.freeSpace();
-  const FlatFreeSpaceIndex &RefFree = Ref.freeSpace();
+  const ReferenceFreeSpaceIndex &RefFree = Ref.freeSpace();
   if (Live.numBlocks() != RefFree.numBlocks()) {
     Report("live index has " + std::to_string(Live.numBlocks()) +
            " blocks but the reference has " +

@@ -7,7 +7,8 @@
 ///
 /// \file
 /// A policy-invisible differential checker: mirrors every heap mutation
-/// into the preserved pre-bitboard ReferenceHeap and, at each step
+/// into the ReferenceHeap (the pre-bitboard heap model, whose free space
+/// is the node-based ReferenceFreeSpaceIndex) and, at each step
 /// boundary, compares the live bitboard Heap against it — the whole
 /// substrate, not just the free index: free blocks block-for-block, the
 /// placement and aggregate queries the managers actually issue, the

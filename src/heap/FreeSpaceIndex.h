@@ -30,11 +30,12 @@
 /// exists for address-space-boundary semantics, e.g. a placement ending
 /// exactly at AddrLimit).
 ///
-/// Semantics are identical to the previous interval implementations —
-/// the original node-based ReferenceFreeSpaceIndex and the flat leaf
-/// structure it replaced (preserved as testsupport/FlatFreeSpaceIndex)
-/// are both cross-checked continuously by the equivalence property test
-/// and the differential fuzzer's heap-parity oracle. All tie-breaks
+/// Semantics are identical to the original node-based interval index,
+/// preserved as testsupport/ReferenceFreeSpaceIndex. It is the one
+/// oracle for this layer: the equivalence property test drives both
+/// through identical operation streams, and the differential fuzzer's
+/// heap-parity oracle compares against it through ReferenceHeap, which
+/// is built on it. All tie-breaks
 /// resolve to the lowest address, and numBlocksBelow / largestBlockBelow
 /// stay exact for the telemetry layer.
 ///

@@ -6,14 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The original node-based free-space index, kept verbatim as a testing
-/// oracle for the flat FreeSpaceIndex that replaced it on the hot path.
-/// Three synchronized structures keep every query logarithmic in the
-/// number of free blocks: an address-ordered map, a size-ordered set
-/// (best fit), and per-size-class address sets (first fit). Slower but
-/// obviously correct; the equivalence property test and the differential
-/// fuzzer's parity checkers drive both indexes through identical
-/// operation streams and compare every query result.
+/// The original node-based free-space index, kept verbatim as the one
+/// testing oracle for the bitboard FreeSpaceIndex that replaced it on
+/// the hot path. Three synchronized structures serve the queries: an
+/// address-ordered map, a size-ordered set (best fit), and per-size-class
+/// address sets (first fit); aligned fit, worst fit and block counts
+/// walk blocks. Slower but obviously correct; the equivalence property
+/// test drives both indexes through identical operation streams and
+/// compares every query result, and ReferenceHeap keeps its free space
+/// here, so the differential fuzzer's heap-parity checker compares
+/// against the same semantics.
 ///
 /// Deliberately not linked into the heap/mm/bench layers — only tests and
 /// the fuzzing harness may depend on it. Profiler instrumentation is

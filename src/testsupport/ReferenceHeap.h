@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pre-bitboard Heap implementation, preserved verbatim as the
-/// full-heap oracle for the differential fuzzer and the substrate tests.
-/// Originally: the single source of truth for heap state: the object table, the free
-/// space, and the footprint accounting. Memory managers are policies on
-/// top of this model; they decide *where* to place or move objects, the
-/// ReferenceHeap validates and records it.
+/// The full-heap oracle for the differential fuzzer and the substrate
+/// tests: the pre-bitboard Heap's object table and footprint accounting,
+/// with its free space kept in the node-based ReferenceFreeSpaceIndex
+/// (the same oracle index_equiv_test checks the live FreeSpaceIndex
+/// against), so each substrate layer has exactly one reference model.
+/// It validates and records what it is told, exactly like the live Heap:
+/// memory managers decide *where* to place or move objects.
 ///
 /// Footprint semantics follow the paper: the heap is the smallest
 /// consecutive address prefix the manager ever touches, so the heap size
@@ -32,9 +33,9 @@
 #define PCBOUND_TESTSUPPORT_REFERENCEHEAP_H
 
 #include "heap/Heap.h" // for HeapStats
-#include "testsupport/FlatFreeSpaceIndex.h"
 #include "heap/HeapEvent.h"
 #include "heap/HeapTypes.h"
+#include "testsupport/ReferenceFreeSpaceIndex.h"
 
 #include <cassert>
 #include <cstdint>
@@ -80,7 +81,7 @@ public:
   size_t numObjects() const { return Objects.size(); }
 
   /// Placement queries over the free space.
-  const FlatFreeSpaceIndex &freeSpace() const { return Free; }
+  const ReferenceFreeSpaceIndex &freeSpace() const { return Free; }
 
   /// Live words occupying [Start, Start + Size).
   uint64_t usedWordsIn(Addr Start, uint64_t Size) const;
@@ -135,7 +136,7 @@ public:
 
 private:
   std::vector<Object> Objects;
-  FlatFreeSpaceIndex Free;
+  ReferenceFreeSpaceIndex Free;
   /// Live objects ordered by current address, for range queries.
   std::map<Addr, ObjectId> LiveByAddr;
   HeapStats Stats;

@@ -379,6 +379,30 @@ TEST(TraceIO, DiagnosticNamesTheOffendingLine) {
            Case{"A 0 0 4\nF 0 0\n", "line 2: truncated or malformed free"},
            Case{"M 0 1 2\n", "line 1: truncated or malformed move"},
            Case{"A 0 0 4 junk\n", "line 1: trailing characters"},
+           // Records outside the heap model's domain: zero sizes, sizes
+           // past the 2^60-word address space, ranges ending past it,
+           // and frees or moves of ids never allocated.
+           Case{"A 0 0 0\n", "line 1: allocation record of zero words"},
+           Case{"A 0 0 18446744073709551615\n",
+                "line 1: allocation record of 18446744073709551615 words "
+                "does not fit"},
+           Case{"A 0 0 1152921504606846976\n",
+                "line 1: allocation record of 1152921504606846976 words "
+                "does not fit"},
+           Case{"A 0 18446744073709551615 1\n",
+                "line 1: allocation record of 1 words at address "
+                "18446744073709551615 ends past"},
+           Case{"A 0 0 4\nF 0 0 0\n", "line 2: free record of zero words"},
+           Case{"A 0 0 4\nF 0 1152921504606846974 4\n",
+                "line 2: free record of 4 words at address"},
+           Case{"A 0 0 4\nM 0 1152921504606846975 8 4\n",
+                "line 2: move record of 4 words at address "
+                "1152921504606846975"},
+           Case{"A 0 0 4\nM 0 0 1152921504606846975 4\n",
+                "line 2: move record of 4 words at address "
+                "1152921504606846975"},
+           Case{"S\nF 5 0 4\n", "line 2: free record names id 5"},
+           Case{"A 0 0 4\nM 1 0 8 4\n", "line 2: move record names id 1"},
        }) {
     std::stringstream SS(C.Input);
     EventLog Log;
@@ -388,6 +412,13 @@ TEST(TraceIO, DiagnosticNamesTheOffendingLine) {
         << "got '" << Error << "' for input " << C.Input;
     EXPECT_TRUE(Log.empty()) << C.Input;
   }
+  // The domain's edge is inside it: an object may end exactly at
+  // AddrLimit.
+  std::stringstream Edge("A 0 1152921504606846972 4\nF 0 "
+                         "1152921504606846972 4\n");
+  EventLog Log;
+  std::string Error;
+  EXPECT_TRUE(readEventLog(Edge, Log, &Error)) << Error;
 }
 
 // A file cut off mid-record (e.g. a crashed writer) is rejected with a

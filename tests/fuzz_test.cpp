@@ -289,6 +289,56 @@ TEST(HeapParity, CatchesObjectTableDivergence) {
   EXPECT_EQ(Out.front().Check, "heap-parity");
 }
 
+// The whole-heap mirror across several 4096-bit supers: PF's step-0 shape
+// (one-word objects packed from address 0, so every occupancy word is
+// saturated and first fit leans on the full-word skip), then holes cut at
+// a 64-bit word edge and at super edges, then refills of 2^i sizes that
+// must land in those holes.
+TEST(HeapParity, DenseFrontierAcrossSupersStaysClean) {
+  constexpr uint64_t SuperBits = 4096; // heap words per super digest
+  constexpr uint64_t NumDense = 3 * SuperBits + 64;
+  Heap H;
+  HeapParityChecker Parity(H);
+  H.setEventCallback([&](const HeapEvent &E) { Parity.observe(E); });
+  FirstFitManager MM(H, 50.0);
+  std::vector<Violation> Out;
+  uint64_t Phase = 0;
+  auto Check = [&] {
+    Parity.checkStep("first-fit", ++Phase, Out);
+    return Out.empty() ? std::string() : Out.front().describe();
+  };
+
+  std::vector<ObjectId> Dense;
+  for (uint64_t I = 0; I != NumDense; ++I) {
+    ObjectId Id = MM.allocate(1);
+    ASSERT_EQ(H.object(Id).Address, I);
+    Dense.push_back(Id);
+  }
+  ASSERT_EQ(Check(), "");
+
+  // Holes: bits 63/64 (a word edge), words 4095/4096 (a super edge), 16
+  // words straddling the second super edge, and the 4 top words of the
+  // third super.
+  std::vector<std::pair<Addr, uint64_t>> Holes = {
+      {63, 2},
+      {SuperBits - 1, 2},
+      {2 * SuperBits - 8, 16},
+      {3 * SuperBits - 4, 4}};
+  for (const auto &[Start, Size] : Holes)
+    for (Addr A = Start; A != Start + Size; ++A)
+      MM.free(Dense[A]);
+  ASSERT_EQ(Check(), "");
+
+  // Refill with 2^i sizes, largest first, so each lands in the lowest
+  // hole that fits it; 64 and 4096 words go above the dense frontier.
+  for (uint64_t Size : {4096u, 64u, 16u, 4u, 2u, 2u}) {
+    ASSERT_NE(MM.allocate(Size), InvalidObjectId);
+    ASSERT_EQ(Check(), "") << "after allocating " << Size << " words";
+  }
+  EXPECT_EQ(H.freeSpace().firstFit(1), H.stats().HighWaterMark)
+      << "every hole below the high-water mark was refilled";
+}
+
 // --- The planted-bug experiment --------------------------------------------
 
 DifferentialHarness::Options plantedBugOptions() {

@@ -17,7 +17,7 @@
 //                                               run a (policy x c) grid of
 //                                               executions in parallel
 //   pcbound fuzz     [seed= iterations= ops= policies= c= logm= maxlog=
-//                     deep= index-oracle= repro-dir= --threads=N]
+//                     deep= repro-dir= --threads=N]
 //                                               differential fuzzing: random
 //                                               schedules through every
 //                                               policy, invariants checked
@@ -122,8 +122,8 @@ int usage() {
       << "             cs=10,25,50,75,100 logm=14 logn=8 --threads=<ncores>\n"
       << "             csv=0 json=0 out= timeline=PREFIX stride=1]\n"
       << "  fuzz      [seed=1 iterations=50 ops=384 policies=all family=all\n"
-      << "             c=50 logm=12 maxlog=8 deep=64 index-oracle=1\n"
-      << "             repro-dir=. --threads=N timeline=PREFIX trace=FILE\n"
+      << "             c=50 logm=12 maxlog=8 deep=64 repro-dir=.\n"
+      << "             --threads=N timeline=PREFIX trace=FILE\n"
       << "             controller=fixed period=16 c1=1.0 smoothing=0.25]\n"
       << "  replay-trace trace=FILE [policy=first-fit c=50]\n"
       << "  trace-record out=FILE [pattern=mixed | program=NAME | session=ID]\n"
@@ -460,32 +460,71 @@ int cmdProfile(const OptionParser &Opts) {
   return 0;
 }
 
-int cmdReplay(const OptionParser &Opts) {
+/// The event-log front end shared by replay and replay-trace: reads
+/// trace=FILE whole into \p Content, parses it into \p Log with
+/// positioned diagnostics, audits it into \p Audit and prints the
+/// one-line summary. Prints an error naming \p Command or the file and
+/// returns false when trace= is missing, or the file is unreadable or
+/// malformed.
+bool loadEventLog(const OptionParser &Opts, const char *Command,
+                  std::string &Content, EventLog &Log, AuditReport &Audit) {
   std::string TracePath = Opts.getString("trace", "");
   if (TracePath.empty()) {
-    std::cerr << "error: replay needs trace=FILE\n";
-    return 1;
+    std::cerr << "error: " << Command << " needs trace=FILE\n";
+    return false;
   }
   std::ifstream IS(TracePath);
   if (!IS) {
     std::cerr << "error: cannot read '" << TracePath << "'\n";
-    return 1;
+    return false;
   }
-  EventLog Log;
-  if (!readEventLog(IS, Log)) {
-    std::cerr << "error: malformed trace '" << TracePath << "'\n";
-    return 1;
+  std::stringstream Buffer;
+  Buffer << IS.rdbuf();
+  Content = Buffer.str();
+  std::istringstream TraceIS(Content);
+  std::string Error;
+  if (!readEventLog(TraceIS, Log, &Error)) {
+    std::cerr << "error: " << TracePath << ": " << Error << "\n";
+    return false;
   }
-  AuditReport Audit = auditEvents(Log.events());
+  Audit = auditEvents(Log.events());
   std::cout << "trace: " << Log.size() << " events, "
             << Audit.NumAllocations << " allocs, " << Audit.NumFrees
-            << " frees, " << Audit.NumMoves << " moves (original HS "
+            << " frees, " << Audit.NumMoves << " moves (recorded HS "
             << Audit.HighWaterMark << ")\n";
+  return true;
+}
+
+int cmdReplay(const OptionParser &Opts) {
+  std::string Content;
+  EventLog Log;
+  AuditReport Audit;
+  if (!loadEventLog(Opts, "replay", Content, Log, Audit))
+    return 1;
+  std::string TracePath = Opts.getString("trace", "");
+  if (!Audit.Consistent) {
+    std::cerr << "error: " << TracePath << ": inconsistent event log (a"
+              << " duplicate id, overlap, double free, or a free or move"
+              << " that disagrees with its allocation)\n";
+    return 1;
+  }
 
   std::string Policy = Opts.getString("policy", "first-fit");
   unsigned LogM = unsigned(Opts.getUInt("logm", 14));
   double C = Opts.getDouble("c", 50.0);
+  if (LogM > 60) {
+    std::cerr << "error: replay needs logm <= 60\n";
+    return 1;
+  }
   uint64_t M = pow2(LogM);
+  std::vector<TraceOp> Trace = Log.toTrace();
+  uint64_t Peak = tracePeakLiveWords(Trace);
+  if (Peak > M) {
+    std::cerr << "error: " << TracePath << ": peak live words " << Peak
+              << " exceed M = 2^" << LogM << " = " << M
+              << "; raise logm=\n";
+    return 1;
+  }
   Heap H;
   std::string FactoryError;
   auto MM = createManagerChecked(Policy, H, C, /*LiveBound=*/M, &FactoryError);
@@ -493,7 +532,7 @@ int cmdReplay(const OptionParser &Opts) {
     std::cerr << "error: " << FactoryError << "\n";
     return 1;
   }
-  TraceReplayProgram Prog(Log.toTrace());
+  TraceReplayProgram Prog(std::move(Trace));
   Execution E(*MM, Prog, M);
   ExecutionResult R = E.run();
   std::cout << "replayed through " << MM->name() << ": HS " << R.HeapSize
@@ -700,11 +739,6 @@ int cmdFuzz(const OptionParser &Opts) {
     HO.ReplayCheckPolicy = "realloc-bucket";
   if (!parseControllerSpec(Opts, HO.Controller))
     return 1;
-  // heap-oracle=0 drops the per-step live-vs-reference full-heap
-  // cross-check (on by default; the CI fuzz smoke relies on it).
-  // index-oracle is the flag's pre-promotion name, kept as an alias.
-  HO.HeapParity =
-      Opts.getBool("heap-oracle", Opts.getBool("index-oracle", true));
   DifferentialHarness Harness(HO);
 
   RunnerOptions RO;
@@ -812,19 +846,11 @@ int cmdFuzz(const OptionParser &Opts) {
 }
 
 int cmdReplayTrace(const OptionParser &Opts) {
-  std::string TracePath = Opts.getString("trace", "");
-  if (TracePath.empty()) {
-    std::cerr << "error: replay-trace needs trace=FILE\n";
+  std::string Content;
+  EventLog Log;
+  AuditReport Audit;
+  if (!loadEventLog(Opts, "replay-trace", Content, Log, Audit))
     return 1;
-  }
-  std::ifstream IS(TracePath);
-  if (!IS) {
-    std::cerr << "error: cannot read '" << TracePath << "'\n";
-    return 1;
-  }
-  std::stringstream Buffer;
-  Buffer << IS.rdbuf();
-  const std::string Content = Buffer.str();
 
   // Reproducers written by `pcbound fuzz` carry their policy and quota in
   // a header comment; explicit options still win.
@@ -864,20 +890,6 @@ int cmdReplayTrace(const OptionParser &Opts) {
       return 1;
     }
   }
-
-  EventLog Log;
-  std::istringstream TraceIS(Content);
-  std::string Error;
-  if (!readEventLog(TraceIS, Log, &Error)) {
-    std::cerr << "error: " << TracePath << ": " << Error << "\n";
-    return 1;
-  }
-
-  AuditReport Audit = auditEvents(Log.events());
-  std::cout << "trace: " << Log.size() << " events, "
-            << Audit.NumAllocations << " allocs, " << Audit.NumFrees
-            << " frees, " << Audit.NumMoves << " moves (recorded HS "
-            << Audit.HighWaterMark << ")\n";
 
   int NumProblems = 0;
   if (!Audit.Consistent) {
