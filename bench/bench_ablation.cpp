@@ -33,7 +33,6 @@
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
 #include "mm/EvacuatingCompactor.h"
-#include "BenchUtils.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -46,11 +45,11 @@
 
 using namespace pcb;
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   unsigned LogM = unsigned(Opts.getUInt("logm", 15));
   unsigned LogN = unsigned(Opts.getUInt("logn", 9));
-  std::vector<double> Cs = parseNumberList(Opts.getString("cs", "20,50,100"));
+  std::vector<double> Cs = parseNumberList(Opts, "cs", "20,50,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
 
@@ -112,4 +111,7 @@ int main(int argc, char **argv) {
       },
       Sink);
   return Sink.emit(Opts) ? 0 : 1;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

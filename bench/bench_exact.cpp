@@ -17,7 +17,6 @@
 
 #include "exact/Certifier.h"
 #include "exact/MinimaxSolver.h"
-#include "BenchUtils.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
 #include "support/OptionParser.h"
@@ -25,6 +24,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <sstream>
 
 using namespace pcb;
 
@@ -36,10 +36,10 @@ std::string formatBound(double Words) {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
-  std::vector<double> Ms = parseNumberList(Opts.getString("Ms", "2,4,8"));
-  std::vector<double> Ns = parseNumberList(Opts.getString("ns", "2,4"));
+  std::vector<double> Ms = parseNumberList(Opts, "Ms", "2,4,8");
+  std::vector<double> Ns = parseNumberList(Opts, "ns", "2,4");
   std::string CsText = Opts.getString("cs", "1,2,4,inf");
 
   // Quota labels: integers plus "inf" (solver convention C = 0).
@@ -126,4 +126,7 @@ int main(int argc, char **argv) {
             << " game states in " << formatDouble(Run.wallSeconds(), 2)
             << "s wall (threads=" << Run.threads() << ")\n";
   return NumFailed == 0 ? 0 : 1;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

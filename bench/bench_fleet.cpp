@@ -23,9 +23,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtils.h"
 #include "obs/Profiler.h"
 #include "runner/ResultSink.h"
+#include "runner/Runner.h"
 #include "service/ServiceFleet.h"
 #include "support/OptionParser.h"
 #include "support/Table.h"
@@ -36,10 +36,9 @@
 
 using namespace pcb;
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
-  std::vector<double> ArenaCounts =
-      parseNumberList(Opts.getString("arenas", "1,4,8"));
+  std::vector<double> ArenaCounts = parseNumberList(Opts, "arenas", "1,4,8");
   uint64_t Sessions = Opts.getUInt("sessions", 100000);
   std::string BenchJsonPath = Opts.getString("bench-json", "");
 
@@ -87,29 +86,24 @@ int main(int argc, char **argv) {
       return 1;
     }
     FO.Prof = &Prof;
-    try {
-      ServiceFleet Fleet(FO);
-      Fleet.run();
-      Wall += Fleet.wallSeconds();
-      Threads = Fleet.threads();
-      FleetReport R = Fleet.report();
-      TotalOps += R.TotalOpsApplied;
-      TotalSessions += R.TotalSessions;
-      Sink.append(Row()
-                      .addCell(uint64_t(FO.NumArenas))
-                      .addCell(R.TotalSessions)
-                      .addCell(R.TotalFootprintWords)
-                      .addCell(R.P99FootprintWords)
-                      .addCell(R.P50Fragmentation, 3)
-                      .addCell(R.P99Fragmentation, 3)
-                      .addCell(R.MeanUtilization, 3)
-                      .addCell(R.TotalMovedWords)
-                      .addCell(100.0 * R.BudgetBurn, 1)
-                      .addCell(R.TotalFlushes));
-    } catch (const std::exception &Ex) {
-      std::cerr << "error: " << Ex.what() << "\n";
-      return 1;
-    }
+    ServiceFleet Fleet(FO);
+    Fleet.run();
+    Wall += Fleet.wallSeconds();
+    Threads = Fleet.threads();
+    FleetReport R = Fleet.report();
+    TotalOps += R.TotalOpsApplied;
+    TotalSessions += R.TotalSessions;
+    Sink.append(Row()
+                    .addCell(uint64_t(FO.NumArenas))
+                    .addCell(R.TotalSessions)
+                    .addCell(R.TotalFootprintWords)
+                    .addCell(R.P99FootprintWords)
+                    .addCell(R.P50Fragmentation, 3)
+                    .addCell(R.P99Fragmentation, 3)
+                    .addCell(R.MeanUtilization, 3)
+                    .addCell(R.TotalMovedWords)
+                    .addCell(100.0 * R.BudgetBurn, 1)
+                    .addCell(R.TotalFlushes));
   }
   if (!Sink.emit(Opts))
     return 1;
@@ -161,4 +155,7 @@ int main(int argc, char **argv) {
     std::cerr << "# bench baseline written to " << BenchJsonPath << "\n";
   }
   return 0;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

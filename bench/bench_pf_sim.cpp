@@ -29,7 +29,6 @@
 #include "bounds/CohenPetrankBounds.h"
 #include "driver/Execution.h"
 #include "mm/ManagerFactory.h"
-#include "BenchUtils.h"
 #include "obs/Profiler.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
@@ -78,11 +77,11 @@ int runOverheadCheck() {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   unsigned LogM = unsigned(Opts.getUInt("logm", 16));
   unsigned LogN = unsigned(Opts.getUInt("logn", 9));
-  std::vector<double> Cs = parseNumberList(Opts.getString("cs", "10,25,50,75,100"));
+  std::vector<double> Cs = parseNumberList(Opts, "cs", "10,25,50,75,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);
   std::string BenchJsonPath = Opts.getString("bench-json", "");
@@ -250,4 +249,7 @@ int main(int argc, char **argv) {
     std::cerr << "# bench baseline written to " << BenchJsonPath << "\n";
   }
   return 0;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

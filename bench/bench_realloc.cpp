@@ -24,7 +24,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtils.h"
 #include "adversary/ProgramFactory.h"
 #include "driver/Execution.h"
 #include "mm/ManagerFactory.h"

@@ -25,7 +25,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "BenchUtils.h"
 #include "fuzz/WorkloadFuzzer.h"
 #include "obs/Profiler.h"
 #include "runner/ExperimentGrid.h"

@@ -11,8 +11,8 @@
 /// flattens them in cell order, so the emitted table is identical no
 /// matter how many threads ran the sweep or in which order cells
 /// finished. Emission (aligned text, CSV, JSON, and the benches' common
-/// `csv=` / `json=` / `out=` options) lives here too, and unlike the old
-/// bench/BenchUtils.h::emitTable it checks every stream after writing:
+/// `csv=` / `json=` / `out=` options) lives here too, and unlike the
+/// benches' former emitTable helper it checks every stream after writing:
 /// an unwritable or mid-run-failing output is reported and turned into a
 /// false return, which the benches map to a non-zero exit code.
 ///

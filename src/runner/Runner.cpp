@@ -8,13 +8,17 @@
 #include "runner/Runner.h"
 
 #include "obs/Profiler.h"
+#include "support/OptionParser.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <mutex>
+#include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #ifdef _WIN32
@@ -192,4 +196,31 @@ void Runner::runRows(const ExperimentGrid &G,
         return std::vector<Row>{Fn(Cell)};
       },
       Sink);
+}
+
+Runner pcb::makeRunner(const OptionParser &Opts) {
+  RunnerOptions RO;
+  RO.Threads = unsigned(Opts.getUInt("threads", 0));
+  if (Opts.has("progress"))
+    RO.Progress = Opts.getBool("progress", true) ? 1 : 0;
+  return Runner(RO);
+}
+
+std::vector<double> pcb::parseNumberList(const OptionParser &Opts,
+                                         const std::string &Name,
+                                         const std::string &Default) {
+  std::vector<double> Values;
+  std::istringstream IS(Opts.getString(Name, Default));
+  std::string Item;
+  while (std::getline(IS, Item, ',')) {
+    if (Item.empty())
+      continue;
+    char *End = nullptr;
+    double Value = std::strtod(Item.c_str(), &End);
+    if (!End || *End != '\0')
+      throw std::invalid_argument("invalid number '" + Item + "' in " + Name +
+                                  "=");
+    Values.push_back(Value);
+  }
+  return Values;
 }

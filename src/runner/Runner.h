@@ -29,10 +29,12 @@
 #include "runner/ResultSink.h"
 
 #include <functional>
+#include <string>
 #include <vector>
 
 namespace pcb {
 
+class OptionParser;
 class Profiler;
 
 struct RunnerOptions {
@@ -108,6 +110,19 @@ private:
   mutable std::vector<double> CellSeconds;
   mutable double WallSeconds = 0.0;
 };
+
+/// Builds a Runner from the sweep commands' common options: `threads=N`
+/// (0 or absent = all hardware threads) and `progress=0/1` (default:
+/// auto, i.e. report to stderr only when it is a terminal).
+Runner makeRunner(const OptionParser &Opts);
+
+/// Parses the comma-separated numbers of option \p Name ("10,25,50"), or
+/// \p Default when it is absent; empty items are skipped. Throws
+/// std::invalid_argument naming the item and the option on a malformed
+/// number.
+std::vector<double> parseNumberList(const OptionParser &Opts,
+                                    const std::string &Name,
+                                    const std::string &Default);
 
 } // namespace pcb
 

@@ -79,16 +79,19 @@ bool TraceReader::apply(MallocOp &Op) {
     if (Op.Size == 0)
       return fail("zero-word allocation (id " + std::to_string(Op.Id) + ")");
     // The simulated heap spans AddrLimit words: no larger object fits, and
-    // neither does a live set past it (LiveWords <= AddrLimit, so the
+    // neither does a live set past the cap (LiveWords <= LiveCap, so the
     // check itself cannot overflow).
     if (Op.Size >= AddrLimit)
       return fail("allocation of " + std::to_string(Op.Size) + " words (id " +
                   std::to_string(Op.Id) +
                   ") does not fit the 2^60-word address space");
-    if (Op.Size > AddrLimit - LiveWords)
+    if (Op.Size > LiveCap - LiveWords)
       return fail("allocation of " + std::to_string(Op.Size) + " words (id " +
-                  std::to_string(Op.Id) + ") raises the live words past the "
-                  "2^60-word address space");
+                  std::to_string(Op.Id) + ") raises the live words past " +
+                  (LiveCap == AddrLimit
+                       ? std::string("the 2^60-word address space")
+                       : "the live bound of " + std::to_string(LiveCap) +
+                             " words"));
     auto [It, Inserted] = Live.emplace(Op.Id, Op.Size);
     if (!Inserted)
       return fail("allocation of id " + std::to_string(Op.Id) +

@@ -17,17 +17,18 @@
 /// Validation mirrors driver/TraceIO: structural damage (bad header or
 /// version, unknown tags, truncated records, trailing garbage) and
 /// schedule damage (zero-size allocation, an allocation of 2^60 words or
-/// more or one that would lift the live words past 2^60 — the simulated
-/// address space — allocating an id that is still live, freeing an id
-/// that is not) all fail with a diagnostic naming the line (text) or
-/// record ordinal (binary). After a failure next() returns false forever
-/// and error() describes the damage.
+/// more — the simulated address space — or one that would lift the live
+/// words past the reader's live cap, allocating an id that is still live,
+/// freeing an id that is not) all fail with a diagnostic naming the line
+/// (text) or record ordinal (binary). After a failure next() returns
+/// false forever and error() describes the damage.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_TRACE_TRACEREADER_H
 #define PCBOUND_TRACE_TRACEREADER_H
 
+#include "heap/HeapTypes.h"
 #include "trace/TraceFormat.h"
 
 #include <cstdint>
@@ -41,8 +42,10 @@ namespace pcb {
 class TraceReader {
 public:
   /// The stream must outlive the reader, and must have been opened in
-  /// binary mode when it may hold the binary framing.
-  explicit TraceReader(std::istream &IS) : IS(IS) {}
+  /// binary mode when it may hold the binary framing. \p LiveCap bounds
+  /// the live words (a program's M); it is clamped to AddrLimit.
+  explicit TraceReader(std::istream &IS, uint64_t LiveCap = AddrLimit)
+      : IS(IS), LiveCap(LiveCap < AddrLimit ? LiveCap : AddrLimit) {}
 
   TraceReader(const TraceReader &) = delete;
   TraceReader &operator=(const TraceReader &) = delete;
@@ -80,6 +83,7 @@ private:
   bool apply(MallocOp &Op);
 
   std::istream &IS;
+  uint64_t LiveCap;
   TraceFraming Framing = TraceFraming::Text;
   bool HeaderRead = false;
   bool Failed = false;

@@ -109,6 +109,12 @@ TraceRunReport pcb::runTrace(TraceReader &R, const TraceRunOptions &Opts,
   return Rep;
 }
 
+TraceRunReport pcb::runTrace(std::istream &IS, const TraceRunOptions &Opts,
+                             const std::string &TraceName) {
+  TraceReader R(IS, Opts.LiveBound != 0 ? Opts.LiveBound : AddrLimit);
+  return runTrace(R, Opts, TraceName);
+}
+
 namespace {
 std::string fixed2(double V) {
   std::ostringstream SS;

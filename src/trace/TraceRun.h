@@ -112,6 +112,13 @@ struct TraceRunReport {
 TraceRunReport runTrace(TraceReader &R, const TraceRunOptions &Opts,
                         const std::string &TraceName = "<stream>");
 
+/// Streams the trace in \p IS (opened in binary mode) through the
+/// configured stack, reading it with a live cap of Opts.LiveBound when
+/// that is nonzero: a trace that outgrows the bound then fails with the
+/// reader's positioned diagnostic instead of overrunning M.
+TraceRunReport runTrace(std::istream &IS, const TraceRunOptions &Opts,
+                        const std::string &TraceName = "<stream>");
+
 /// Materializes \p R into the ordinal-free TraceOp convention (frees name
 /// the k-th allocation) used by fuzz schedules and fleet sessions.
 /// Returns an empty vector and sets \p Error on a validation failure.

@@ -250,6 +250,34 @@ TEST(TraceReject, LiveWordsPastTheAddressSpace) {
       << R.error();
 }
 
+TEST(TraceReject, LiveWordsPastTheReaderCap) {
+  // A reader capped at 8 live words takes exactly 8 and rejects the word
+  // past them; frees make room again.
+  const std::string Text = "pcbtrace 1 text\na 1 4\na 2 4\nf 1\na 3 4\na 4 1\n";
+  std::istringstream IS(Text);
+  TraceReader R(IS, 8);
+  EXPECT_EQ(readAll(R).size(), 4u);
+  ASSERT_TRUE(R.failed());
+  EXPECT_NE(R.error().find("line 6: allocation of 1 words (id 4) raises the "
+                           "live words past the live bound of 8 words"),
+            std::string::npos)
+      << R.error();
+
+  // runTrace reads with the run's live bound as the cap, so a trace that
+  // outgrows live= fails with the line instead of overrunning M.
+  std::istringstream RunIS(Text);
+  TraceRunOptions RO;
+  RO.LiveBound = 8;
+  try {
+    runTrace(RunIS, RO, "capped");
+    ADD_FAILURE() << "runTrace accepted a trace past its live bound";
+  } catch (const std::runtime_error &Ex) {
+    EXPECT_NE(std::string(Ex.what()).find("capped: line 6:"),
+              std::string::npos)
+        << Ex.what();
+  }
+}
+
 TEST(TraceReject, AllocationOfLiveId) {
   expectRejected("pcbtrace 1 text\na 1 4\na 1 2\n",
                  "allocation of id 1");
