@@ -47,8 +47,8 @@ using namespace pcb;
 
 int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 15));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 9));
+  unsigned LogM = parseLogWord(Opts, "logm", 15);
+  unsigned LogN = parseLogWord(Opts, "logn", 9);
   std::vector<double> Cs = parseNumberList(Opts, "cs", "20,50,100");
   uint64_t M = pow2(LogM);
   uint64_t N = pow2(LogN);

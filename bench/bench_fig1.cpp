@@ -25,7 +25,7 @@
 
 using namespace pcb;
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   uint64_t M = Opts.getUInt("M", pow2(28));
   uint64_t N = Opts.getUInt("n", pow2(20));
@@ -76,4 +76,7 @@ int main(int argc, char **argv) {
   std::cout << "\n# Paper anchors: h(c=10) = 2, h(c=50) ~ 3.15,"
             << " h(c=100) ~ 3.5 (for M=256MB, n=1MB)\n";
   return 0;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

@@ -25,11 +25,11 @@
 
 using namespace pcb;
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   double C = Opts.getDouble("c", 100.0);
-  unsigned LogNMin = unsigned(Opts.getUInt("lognmin", 10));
-  unsigned LogNMax = unsigned(Opts.getUInt("lognmax", 30));
+  unsigned LogNMin = parseLogWord(Opts, "lognmin", 10);
+  unsigned LogNMax = parseLogWord(Opts, "lognmax", 30);
   uint64_t Ratio = Opts.getUInt("ratio", 256);
 
   std::cout << "# Figure 2: lower bound on the waste factor h as a"
@@ -68,4 +68,7 @@ int main(int argc, char **argv) {
   std::cout << '\n';
   Chart.print(std::cout);
   return 0;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

@@ -28,7 +28,7 @@
 
 using namespace pcb;
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   uint64_t M = Opts.getUInt("M", pow2(28));
   uint64_t N = Opts.getUInt("n", pow2(20));
@@ -86,4 +86,7 @@ int main(int argc, char **argv) {
             << "# our reconstruction preserves that shape (see"
             << " EXPERIMENTS.md for the magnitude caveat).\n";
   return 0;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

@@ -54,7 +54,7 @@ int main(int argc, char **argv) try {
   Base.Shard.SampleEverySessions = 0; // throughput run: no timelines
   Base.Shard.Session.FleetSeed = Opts.getUInt("seed", 1);
   Base.Shard.Session.TargetOps = Opts.getUInt("ops", 48);
-  Base.Shard.Session.MaxLogSize = unsigned(Opts.getUInt("maxlog", 6));
+  Base.Shard.Session.MaxLogSize = parseLogWord(Opts, "maxlog", 6);
 
   std::cout << "# E14: fleet service mode: " << ArenaCounts.size()
             << " arena counts x " << Sessions << " sessions (policy="

@@ -42,8 +42,8 @@ using namespace pcb;
 
 int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 15));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+  unsigned LogM = parseLogWord(Opts, "logm", 15);
+  unsigned LogN = parseLogWord(Opts, "logn", 8);
   double C = Opts.getDouble("c", 50.0);
   std::vector<double> Thresholds =
       parseNumberList(Opts, "thresholds", "0.05,0.1,0.25,0.5,0.9");

@@ -44,11 +44,11 @@ struct SweepPoint {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   double C = Opts.getDouble("c", 50.0);
-  unsigned LogNMin = unsigned(Opts.getUInt("lognmin", 6));
-  unsigned LogNMax = unsigned(Opts.getUInt("lognmax", 10));
+  unsigned LogNMin = parseLogWord(Opts, "lognmin", 6);
+  unsigned LogNMax = parseLogWord(Opts, "lognmax", 10);
   uint64_t Ratio = Opts.getUInt("ratio", 64);
   std::string Policy = Opts.getString("policy", "evacuating");
 
@@ -113,4 +113,7 @@ int main(int argc, char **argv) {
   std::cout << '\n';
   Chart.print(std::cout);
   return 0;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

@@ -85,15 +85,15 @@ CellOutcome runCell(const std::string &ProgName, const std::string &Policy,
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   std::vector<std::string> Programs = parseNameList(Opts.getString(
       "programs", "update-fill-drain,update-alternating,update-comb,"
                   "update-size-profile,update-mix,cohen-petrank"));
   std::vector<std::string> Policies = parseNameList(
       Opts.getString("policies", "realloc-never,realloc-bucket,realloc-jin"));
-  unsigned LogM = unsigned(Opts.getUInt("logm", 12));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 6));
+  unsigned LogM = parseLogWord(Opts, "logm", 12);
+  unsigned LogN = parseLogWord(Opts, "logn", 6);
   double C = Opts.getDouble("c", 50.0);
   uint64_t M = pow2(LogM);
   std::string BenchJsonPath = Opts.getString("bench-json", "");
@@ -135,37 +135,32 @@ int main(int argc, char **argv) {
   std::vector<std::pair<std::string, double>> OverheadCells;
   std::mutex CellsMutex;
   Runner Run = makeRunner(Opts);
-  try {
-    Run.runRows(
-        Grid,
-        [&](const GridCell &Cell) {
-          const std::string &ProgName = Cell.str("program");
-          const std::string &Policy = Cell.str("policy");
-          CellOutcome Out = runCell(ProgName, Policy, M, LogN, C);
-          TotalSteps.fetch_add(Out.Exec.Steps, std::memory_order_relaxed);
-          {
-            std::lock_guard<std::mutex> Lock(CellsMutex);
-            OverheadCells.emplace_back(ProgName + "/" + Policy,
-                                       Out.Overhead);
-          }
-          return Row()
-              .addCell(ProgName)
-              .addCell(Policy)
-              .addCell(Out.Exec.Steps)
-              .addCell(Out.Exec.HeapSize)
-              .addCell(Out.Exec.wasteFactor(M), 3)
-              .addCell(Out.Exec.MovedWords)
-              .addCell(Out.Exec.TotalAllocatedWords)
-              .addCell(Out.Overhead, 4)
-              .addCell(Out.WorstPrefix, 4)
-              .addCell(std::isfinite(Out.Bound) ? formatDouble(Out.Bound, 1)
-                                                : std::string("inf"));
-        },
-        Sink);
-  } catch (const std::exception &Ex) {
-    std::cerr << "error: " << Ex.what() << "\n";
-    return 1;
-  }
+  Run.runRows(
+      Grid,
+      [&](const GridCell &Cell) {
+        const std::string &ProgName = Cell.str("program");
+        const std::string &Policy = Cell.str("policy");
+        CellOutcome Out = runCell(ProgName, Policy, M, LogN, C);
+        TotalSteps.fetch_add(Out.Exec.Steps, std::memory_order_relaxed);
+        {
+          std::lock_guard<std::mutex> Lock(CellsMutex);
+          OverheadCells.emplace_back(ProgName + "/" + Policy,
+                                     Out.Overhead);
+        }
+        return Row()
+            .addCell(ProgName)
+            .addCell(Policy)
+            .addCell(Out.Exec.Steps)
+            .addCell(Out.Exec.HeapSize)
+            .addCell(Out.Exec.wasteFactor(M), 3)
+            .addCell(Out.Exec.MovedWords)
+            .addCell(Out.Exec.TotalAllocatedWords)
+            .addCell(Out.Overhead, 4)
+            .addCell(Out.WorstPrefix, 4)
+            .addCell(std::isfinite(Out.Bound) ? formatDouble(Out.Bound, 1)
+                                              : std::string("inf"));
+      },
+      Sink);
   if (!Sink.emit(Opts))
     return 1;
 
@@ -249,4 +244,7 @@ int main(int argc, char **argv) {
     std::cerr << "# bench baseline written to " << BenchJsonPath << "\n";
   }
   return 0;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

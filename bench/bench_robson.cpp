@@ -29,11 +29,11 @@
 
 using namespace pcb;
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 14));
-  unsigned LogNMin = unsigned(Opts.getUInt("lognmin", 4));
-  unsigned LogNMax = unsigned(Opts.getUInt("lognmax", 8));
+  unsigned LogM = parseLogWord(Opts, "logm", 14);
+  unsigned LogNMin = parseLogWord(Opts, "lognmin", 4);
+  unsigned LogNMax = parseLogWord(Opts, "lognmax", 8);
   uint64_t M = pow2(LogM);
 
   std::cout << "# E4: Robson's matching bound, simulated (PR vs"
@@ -69,4 +69,7 @@ int main(int argc, char **argv) {
       },
       Sink);
   return Sink.emit(Opts) ? 0 : 1;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

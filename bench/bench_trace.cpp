@@ -71,7 +71,7 @@ WorkloadFuzzer::Pattern patternByName(const std::string &Name) {
 
 } // namespace
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   std::vector<std::string> Traces =
       parseNameList(Opts.getString("traces", "churn,queue-fifo,comb"));
@@ -102,7 +102,7 @@ int main(int argc, char **argv) {
   WorkloadFuzzer::Options FO;
   FO.NumOps = NumOps;
   FO.LiveBound = std::max<uint64_t>(1, Opts.getUInt("livegen", 1 << 12));
-  FO.MaxLogSize = unsigned(Opts.getUInt("maxlog", 8));
+  FO.MaxLogSize = parseLogWord(Opts, "maxlog", 8);
   std::map<std::string, std::string> Serialized;
   for (size_t T = 0; T != Traces.size(); ++T) {
     FO.Seed = splitSeed(Seed, T);
@@ -130,35 +130,30 @@ int main(int argc, char **argv) {
                    "moved_words", "burn_%", "grants", "denials"});
   std::atomic<uint64_t> TotalOps{0};
   Runner Run = makeRunner(Opts);
-  try {
-    Run.runRows(
-        Grid,
-        [&](const GridCell &Cell) {
-          TraceRunOptions RO = Base;
-          RO.Policy = Cell.str("policy");
-          RO.Controller = Spec;
-          RO.Controller.Name = Cell.str("controller");
-          std::istringstream IS(Serialized.at(Cell.str("trace")));
-          TraceReader R(IS);
-          TraceRunReport Rep = runTrace(R, RO, Cell.str("trace"));
-          TotalOps.fetch_add(Rep.OpsStreamed, std::memory_order_relaxed);
-          return Row()
-              .addCell(Rep.Trace)
-              .addCell(Rep.Policy)
-              .addCell(Rep.Controller)
-              .addCell(Rep.OpsStreamed)
-              .addCell(Rep.Exec.HeapSize)
-              .addCell(Rep.WasteFactor, 4)
-              .addCell(Rep.Exec.MovedWords)
-              .addCell(Rep.BudgetBurnPct, 2)
-              .addCell(Rep.ControllerGrants)
-              .addCell(Rep.ControllerDenials);
-        },
-        Sink);
-  } catch (const std::exception &Ex) {
-    std::cerr << "error: " << Ex.what() << "\n";
-    return 1;
-  }
+  Run.runRows(
+      Grid,
+      [&](const GridCell &Cell) {
+        TraceRunOptions RO = Base;
+        RO.Policy = Cell.str("policy");
+        RO.Controller = Spec;
+        RO.Controller.Name = Cell.str("controller");
+        std::istringstream IS(Serialized.at(Cell.str("trace")));
+        TraceReader R(IS);
+        TraceRunReport Rep = runTrace(R, RO, Cell.str("trace"));
+        TotalOps.fetch_add(Rep.OpsStreamed, std::memory_order_relaxed);
+        return Row()
+            .addCell(Rep.Trace)
+            .addCell(Rep.Policy)
+            .addCell(Rep.Controller)
+            .addCell(Rep.OpsStreamed)
+            .addCell(Rep.Exec.HeapSize)
+            .addCell(Rep.WasteFactor, 4)
+            .addCell(Rep.Exec.MovedWords)
+            .addCell(Rep.BudgetBurnPct, 2)
+            .addCell(Rep.ControllerGrants)
+            .addCell(Rep.ControllerDenials);
+      },
+      Sink);
   if (!Sink.emit(Opts))
     return 1;
 
@@ -242,4 +237,7 @@ int main(int argc, char **argv) {
     std::cerr << "# bench baseline written to " << BenchJsonPath << "\n";
   }
   return 0;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

@@ -41,10 +41,10 @@
 
 using namespace pcb;
 
-int main(int argc, char **argv) {
+int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
-  unsigned LogM = unsigned(Opts.getUInt("logm", 15));
-  unsigned LogN = unsigned(Opts.getUInt("logn", 8));
+  unsigned LogM = parseLogWord(Opts, "logm", 15);
+  unsigned LogN = parseLogWord(Opts, "logn", 8);
   double C = Opts.getDouble("c", 50.0);
   uint64_t NumSeeds = Opts.getUInt("seeds", 3);
   uint64_t M = pow2(LogM);
@@ -145,4 +145,7 @@ int main(int argc, char **argv) {
       },
       Sink);
   return Sink.emit(Opts) ? 0 : 1;
+} catch (const std::exception &Ex) {
+  std::cerr << "error: " << Ex.what() << "\n";
+  return 1;
 }

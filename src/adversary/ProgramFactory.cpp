@@ -86,7 +86,7 @@ static std::string programDomainError(const std::string &Name, uint64_t M,
     return "";
   // Admissible densities: 2^sigma <= 3c/4 and 2*sigma <= log2(n) - 2;
   // logn >= 4 already admits sigma = 1 on the second.
-  if (!std::isfinite(C) || cohenPetrankMaxSigma(C) < 1)
+  if (cohenPetrankMaxSigma(C) < 1)
     return Prefix + "has no admissible density sigma >= 1 at c = " +
            formatDouble(C, 2) + " (needs 2^sigma <= 3c/4, i.e. c >= 8/3)";
   return "";

@@ -9,8 +9,6 @@
 
 #include "support/MathUtils.h"
 
-#include <algorithm>
-#include <cassert>
 #include <string>
 
 using namespace pcb;
@@ -90,75 +88,4 @@ bool MarkovPhaseProgram::step(MutatorContext &Ctx) {
 
   ++StepsDone;
   return StepsDone < TotalSteps;
-}
-
-bool pcb::validateTrace(const std::vector<TraceOp> &Trace,
-                        std::string *Why) {
-  auto Fail = [&](size_t Pos, const std::string &Reason) {
-    if (Why)
-      *Why = "op " + std::to_string(Pos) + ": " + Reason;
-    return false;
-  };
-  uint64_t Allocations = 0;
-  std::vector<bool> Freed;
-  for (size_t Pos = 0; Pos != Trace.size(); ++Pos) {
-    const TraceOp &Op = Trace[Pos];
-    switch (Op.Op) {
-    case TraceOp::Kind::Alloc:
-      if (Op.Value == 0)
-        return Fail(Pos, "zero-size allocation");
-      ++Allocations;
-      Freed.push_back(false);
-      break;
-    case TraceOp::Kind::Free:
-      if (Op.Value >= Allocations)
-        return Fail(Pos, "frees allocation " + std::to_string(Op.Value) +
-                             " which has not happened yet");
-      if (Freed[size_t(Op.Value)])
-        return Fail(Pos, "frees allocation " + std::to_string(Op.Value) +
-                             " twice");
-      Freed[size_t(Op.Value)] = true;
-      break;
-    }
-  }
-  return true;
-}
-
-uint64_t pcb::tracePeakLiveWords(const std::vector<TraceOp> &Trace) {
-  uint64_t Live = 0;
-  uint64_t Peak = 0;
-  std::vector<uint64_t> Sizes;
-  for (const TraceOp &Op : Trace) {
-    switch (Op.Op) {
-    case TraceOp::Kind::Alloc:
-      Sizes.push_back(Op.Value);
-      Live += Op.Value;
-      Peak = std::max(Peak, Live);
-      break;
-    case TraceOp::Kind::Free:
-      assert(Op.Value < Sizes.size() && "trace frees unknown allocation");
-      Live -= Sizes[size_t(Op.Value)];
-      break;
-    }
-  }
-  return Peak;
-}
-
-bool TraceReplayProgram::step(MutatorContext &Ctx) {
-  if (Position >= Trace.size())
-    return false;
-  const TraceOp &Op = Trace[Position++];
-  switch (Op.Op) {
-  case TraceOp::Kind::Alloc:
-    Allocated.push_back(Ctx.allocate(Op.Value));
-    break;
-  case TraceOp::Kind::Free: {
-    assert(Op.Value < Allocated.size() && "trace frees unknown allocation");
-    ObjectId Id = Allocated[Op.Value];
-    assert(Ctx.heap().isLive(Id) && "trace frees a dead object");
-    Ctx.free(Id);
-    break;
-  }
-  }
-  return Position < Trace.size();
 }

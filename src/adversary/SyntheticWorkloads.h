@@ -12,8 +12,7 @@
 /// suite of benchmarks". RandomChurnProgram models steady-state churn
 /// with uniformly random power-of-two sizes; MarkovPhaseProgram models
 /// phased behaviour where the popular size class drifts over time (the
-/// classic cause of size-class fragmentation); TraceReplayProgram replays
-/// an explicit operation list (used heavily by the tests).
+/// classic cause of size-class fragmentation).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,56 +84,6 @@ private:
   Rng Rand;
   uint64_t StepsDone = 0;
   std::vector<ObjectId> Mine;
-};
-
-/// One scripted operation: allocate a size, or free the object created by
-/// the Index-th allocation of the trace.
-struct TraceOp {
-  enum class Kind { Alloc, Free } Op;
-  uint64_t Value; // size for Alloc, allocation index for Free
-
-  static TraceOp alloc(uint64_t Size) {
-    return TraceOp{Kind::Alloc, Size};
-  }
-  static TraceOp release(uint64_t AllocIndex) {
-    return TraceOp{Kind::Free, AllocIndex};
-  }
-
-  bool operator==(const TraceOp &Other) const {
-    return Op == Other.Op && Value == Other.Value;
-  }
-};
-
-/// Structural validity of a trace: every Free names an allocation that
-/// happened earlier in the trace, and no allocation is freed twice. When
-/// \p Why is non-null and the trace is invalid, it receives a one-line
-/// diagnosis naming the offending operation.
-bool validateTrace(const std::vector<TraceOp> &Trace,
-                   std::string *Why = nullptr);
-
-/// Peak simultaneous live words over the whole trace — the smallest live
-/// bound M under which TraceReplayProgram can run it. O(trace).
-uint64_t tracePeakLiveWords(const std::vector<TraceOp> &Trace);
-
-/// Replays an explicit trace, one operation per step.
-class TraceReplayProgram : public Program {
-public:
-  explicit TraceReplayProgram(std::vector<TraceOp> Trace)
-      : Trace(std::move(Trace)) {}
-
-  bool step(MutatorContext &Ctx) override;
-  std::string name() const override { return "trace-replay"; }
-
-  /// Id assigned to the \p AllocIndex-th allocation so far.
-  ObjectId idOfAllocation(uint64_t AllocIndex) const {
-    return AllocIndex < Allocated.size() ? Allocated[AllocIndex]
-                                         : InvalidObjectId;
-  }
-
-private:
-  std::vector<TraceOp> Trace;
-  size_t Position = 0;
-  std::vector<ObjectId> Allocated;
 };
 
 } // namespace pcb

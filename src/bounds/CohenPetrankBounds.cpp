@@ -17,9 +17,9 @@
 using namespace pcb;
 
 unsigned pcb::cohenPetrankMaxSigma(double C) {
-  // 2^sigma <= 3c/4, sigma >= 1.
+  // 2^sigma <= 3c/4, sigma >= 1. A non-finite c admits no sigma.
   double Limit = 0.75 * C;
-  if (Limit < 2.0)
+  if (!std::isfinite(Limit) || Limit < 2.0)
     return 0;
   return unsigned(std::floor(std::log2(Limit)));
 }

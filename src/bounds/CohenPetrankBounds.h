@@ -52,7 +52,7 @@
 namespace pcb {
 
 /// Largest admissible density exponent: floor(log2(3c/4)). Returns 0 when
-/// even sigma = 1 is inadmissible (c < 8/3).
+/// even sigma = 1 is inadmissible (c < 8/3) or c is not finite.
 unsigned cohenPetrankMaxSigma(double C);
 
 /// The value h(sigma) of Theorem 1 for a specific density exponent.

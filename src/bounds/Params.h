@@ -24,6 +24,7 @@
 
 #include "support/MathUtils.h"
 
+#include <cmath>
 #include <cstdint>
 
 namespace pcb {
@@ -43,7 +44,8 @@ struct BoundParams {
 
   /// Returns true if the parameters are in the domain all formulas accept.
   bool valid() const {
-    return M >= N && N >= 2 && isPowerOfTwo(N) && isPowerOfTwo(M) && C > 1.0;
+    return M >= N && N >= 2 && isPowerOfTwo(N) && isPowerOfTwo(M) &&
+           std::isfinite(C) && C > 1.0;
   }
 };
 

@@ -7,33 +7,23 @@
 
 #include "driver/EventLog.h"
 
-#include <cassert>
-#include <map>
-
 using namespace pcb;
 
-std::vector<TraceOp> EventLog::toTrace() const {
-  std::vector<TraceOp> Trace;
-  // The trace addresses objects by allocation ordinal; map heap ids to
-  // the ordinal their Alloc event got.
-  std::map<ObjectId, uint64_t> Ordinal;
-  uint64_t NextOrdinal = 0;
+std::vector<MallocOp> EventLog::toSchedule() const {
+  std::vector<MallocOp> Ops;
+  OrdinalRenumbering Renumber;
   for (const HeapEvent &E : Events) {
     switch (E.Event) {
     case HeapEvent::Kind::Alloc:
-      Ordinal[E.Id] = NextOrdinal++;
-      Trace.push_back(TraceOp::alloc(E.Size));
+      Ops.push_back(Renumber(MallocOp::alloc(E.Id, E.Size)));
       break;
-    case HeapEvent::Kind::Free: {
-      auto It = Ordinal.find(E.Id);
-      assert(It != Ordinal.end() && "free of an unlogged object");
-      Trace.push_back(TraceOp::release(It->second));
+    case HeapEvent::Kind::Free:
+      Ops.push_back(Renumber(MallocOp::release(E.Id, E.Size)));
       break;
-    }
     case HeapEvent::Kind::Move:
     case HeapEvent::Kind::StepEnd:
       break; // manager decisions / markers: not program behaviour
     }
   }
-  return Trace;
+  return Ops;
 }

@@ -10,15 +10,15 @@
 /// log is an independent record — the auditors in driver/Auditors.h
 /// replay it to re-derive the footprint, live volume and compaction
 /// spend, cross-checking the heap's own statistics; and a log converts
-/// into a trace so any execution's allocation behaviour can be re-run
-/// against a different manager (TraceReplayProgram).
+/// into an ordinal-form schedule so any execution's allocation behaviour
+/// can be re-run against a different manager.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_DRIVER_EVENTLOG_H
 #define PCBOUND_DRIVER_EVENTLOG_H
 
-#include "adversary/SyntheticWorkloads.h"
+#include "adversary/Schedule.h"
 #include "heap/HeapEvent.h"
 
 #include <cstdint>
@@ -36,10 +36,10 @@ public:
   bool empty() const { return Events.empty(); }
   void clear() { Events.clear(); }
 
-  /// Converts the log's allocation/free sequence into a trace that
-  /// TraceReplayProgram can re-run against any manager (moves are
-  /// dropped: they were the *manager's* decisions, not the program's).
-  std::vector<TraceOp> toTrace() const;
+  /// The log's allocation/free sequence as an ordinal-form schedule that
+  /// can be re-run against any manager (moves are dropped: they were the
+  /// *manager's* decisions, not the program's).
+  std::vector<MallocOp> toSchedule() const;
 
 private:
   std::vector<HeapEvent> Events;

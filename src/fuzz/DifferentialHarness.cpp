@@ -12,6 +12,7 @@
 #include "driver/Execution.h"
 #include "driver/TraceIO.h"
 #include "mm/ManagerFactory.h"
+#include "trace/TraceRun.h"
 
 #include <algorithm>
 #include <cassert>
@@ -60,7 +61,7 @@ DifferentialHarness::DifferentialHarness(Options O) : Opts(std::move(O)) {
 
 PolicyRunResult
 DifferentialHarness::runPolicy(const std::string &Policy,
-                               const std::vector<TraceOp> &Trace,
+                               const std::vector<MallocOp> &Ops,
                                uint64_t M) const {
   Heap H;
   std::string Error;
@@ -85,7 +86,7 @@ DifferentialHarness::runPolicy(const std::string &Policy,
       Log.record(Copy);
   });
 
-  TraceReplayProgram P(Trace);
+  StreamingTraceProgram P(Ops);
   Execution E(*MM, P, M);
   std::unique_ptr<BudgetController> Ctrl =
       createControllerChecked(Opts.Controller, &Error);
@@ -134,16 +135,16 @@ void compareField(std::vector<Violation> &Out, const char *Field,
 } // namespace
 
 DifferentialReport DifferentialHarness::run(const FuzzSchedule &S) const {
-  std::vector<TraceOp> Trace = S.materialize();
-  assert(validateTrace(Trace) && "fuzzer produced an invalid trace");
+  std::optional<uint64_t> Peak = checkSchedule(S.Ops);
+  assert(Peak && "fuzzer produced an invalid schedule");
   // The tightest admissible live bound; shrinking may have changed the
-  // peak, so it is recomputed per materialization.
-  uint64_t M = std::max<uint64_t>(tracePeakLiveWords(Trace), 1);
+  // peak, so it is recomputed per schedule.
+  uint64_t M = std::max<uint64_t>(*Peak, 1);
 
   DifferentialReport Report;
   Report.Runs.reserve(Opts.Policies.size());
   for (const std::string &Policy : Opts.Policies)
-    Report.Runs.push_back(runPolicy(Policy, Trace, M));
+    Report.Runs.push_back(runPolicy(Policy, S.Ops, M));
 
   // Program behaviour is manager-independent: every policy must agree on
   // everything except footprint and compaction.
@@ -182,7 +183,7 @@ DifferentialReport DifferentialHarness::run(const FuzzSchedule &S) const {
                              return R.Policy == Opts.ReplayCheckPolicy;
                            });
     if (It != Report.Runs.end()) {
-      PolicyRunResult Again = runPolicy(Opts.ReplayCheckPolicy, Trace, M);
+      PolicyRunResult Again = runPolicy(Opts.ReplayCheckPolicy, S.Ops, M);
       auto Same = [&](const char *Field, uint64_t First, uint64_t Second) {
         if (First == Second)
           return;
@@ -254,11 +255,14 @@ FuzzSchedule DifferentialHarness::shrink(
   while (Progress && Evals < MaxEvals) {
     Progress = false;
     for (size_t I = 0; I != Min.Ops.size() && Evals < MaxEvals; ++I) {
-      FuzzOp &Op = Min.Ops[I];
-      if (Op.Op != FuzzOp::Kind::Alloc || Op.Size <= 1)
+      const MallocOp &Op = Min.Ops[I];
+      if (!Op.isAlloc() || Op.Size <= 1)
         continue;
+      // The allocation and its free (if any) carry the size together.
       FuzzSchedule Candidate = Min;
-      Candidate.Ops[I].Size = Op.Size / 2;
+      for (size_t J = I; J != Candidate.Ops.size(); ++J)
+        if (Candidate.Ops[J].Id == Op.Id)
+          Candidate.Ops[J].Size = Op.Size / 2;
       ++Evals;
       if (Fails(Candidate)) {
         Min = std::move(Candidate);

@@ -137,7 +137,7 @@ public:
 
 private:
   PolicyRunResult runPolicy(const std::string &Policy,
-                            const std::vector<TraceOp> &Trace,
+                            const std::vector<MallocOp> &Ops,
                             uint64_t M) const;
 
   Options Opts;

@@ -7,6 +7,7 @@
 
 #include "fuzz/WorkloadFuzzer.h"
 
+#include "adversary/SyntheticWorkloads.h"
 #include "driver/Execution.h"
 #include "mm/SequentialFitManagers.h"
 #include "support/MathUtils.h"
@@ -16,78 +17,27 @@
 
 using namespace pcb;
 
-std::vector<TraceOp>
-FuzzSchedule::materialize(const std::vector<bool> *Keep) const {
-  assert((!Keep || Keep->size() == Ops.size()) && "keep mask size mismatch");
-  std::vector<TraceOp> Trace;
-  Trace.reserve(Ops.size());
-  // Ordinal the Pos-th schedule op's allocation got, if kept.
-  std::vector<uint64_t> Ordinal(Ops.size(), UINT64_MAX);
-  uint64_t Next = 0;
-  for (size_t Pos = 0; Pos != Ops.size(); ++Pos) {
-    if (Keep && !(*Keep)[Pos])
-      continue;
-    const FuzzOp &Op = Ops[Pos];
-    switch (Op.Op) {
-    case FuzzOp::Kind::Alloc:
-      Ordinal[Pos] = Next++;
-      Trace.push_back(TraceOp::alloc(Op.Size));
-      break;
-    case FuzzOp::Kind::Free:
-      assert(Op.AllocPos < Pos && "free precedes its allocation");
-      if (Ordinal[Op.AllocPos] != UINT64_MAX)
-        Trace.push_back(TraceOp::release(Ordinal[Op.AllocPos]));
-      break;
-    }
-  }
-  return Trace;
-}
-
 FuzzSchedule FuzzSchedule::subset(const std::vector<bool> &Keep) const {
   assert(Keep.size() == Ops.size() && "keep mask size mismatch");
   FuzzSchedule Out;
   Out.Seed = Seed;
   Out.Pattern = Pattern;
-  std::vector<size_t> NewPos(Ops.size(), SIZE_MAX);
+  // The new ordinal of each kept allocation (there are at most as many
+  // allocations as operations).
+  std::vector<uint64_t> NewId(Ops.size(), UINT64_MAX);
+  uint64_t Next = 0;
   for (size_t Pos = 0; Pos != Ops.size(); ++Pos) {
     if (!Keep[Pos])
       continue;
-    const FuzzOp &Op = Ops[Pos];
-    switch (Op.Op) {
-    case FuzzOp::Kind::Alloc:
-      NewPos[Pos] = Out.Ops.size();
-      Out.Ops.push_back(Op);
-      break;
-    case FuzzOp::Kind::Free:
-      if (NewPos[Op.AllocPos] != SIZE_MAX)
-        Out.Ops.push_back(FuzzOp::release(NewPos[Op.AllocPos]));
-      break;
+    const MallocOp &Op = Ops[Pos];
+    if (Op.isAlloc()) {
+      NewId[size_t(Op.Id)] = Next;
+      Out.Ops.push_back(MallocOp::alloc(Next++, Op.Size));
+    } else if (NewId[size_t(Op.Id)] != UINT64_MAX) {
+      Out.Ops.push_back(MallocOp::release(NewId[size_t(Op.Id)], Op.Size));
     }
   }
   return Out;
-}
-
-FuzzSchedule pcb::scheduleFromTrace(const std::vector<TraceOp> &Trace,
-                                    uint64_t Seed,
-                                    const std::string &Pattern) {
-  assert(validateTrace(Trace) && "schedule source trace is invalid");
-  FuzzSchedule S;
-  S.Seed = Seed;
-  S.Pattern = Pattern;
-  S.Ops.reserve(Trace.size());
-  std::vector<size_t> PosOfOrdinal;
-  for (const TraceOp &Op : Trace) {
-    switch (Op.Op) {
-    case TraceOp::Kind::Alloc:
-      PosOfOrdinal.push_back(S.Ops.size());
-      S.Ops.push_back(FuzzOp::alloc(Op.Value));
-      break;
-    case TraceOp::Kind::Free:
-      S.Ops.push_back(FuzzOp::release(PosOfOrdinal[size_t(Op.Value)]));
-      break;
-    }
-  }
-  return S;
 }
 
 namespace {
@@ -107,31 +57,31 @@ public:
 
   void alloc(uint64_t Size) {
     assert(Size != 0 && canAlloc(Size) && "builder breaks the live bound");
-    Live.push_back({Ops.size(), Size});
+    Live.push_back(MallocOp::release(NumAllocs, Size));
     LiveWords += Size;
-    Ops.push_back(FuzzOp::alloc(Size));
+    Ops.push_back(MallocOp::alloc(NumAllocs++, Size));
   }
 
   /// Frees the \p LiveIndex-th oldest live object.
   void freeAt(size_t LiveIndex) {
     assert(LiveIndex < Live.size() && "free of a dead object");
-    auto [Pos, Size] = Live[LiveIndex];
+    Ops.push_back(Live[LiveIndex]);
+    LiveWords -= Live[LiveIndex].Size;
     Live.erase(Live.begin() + ptrdiff_t(LiveIndex));
-    LiveWords -= Size;
-    Ops.push_back(FuzzOp::release(Pos));
   }
 
   void freeNewest() { freeAt(Live.size() - 1); }
   void freeOldest() { freeAt(0); }
 
-  std::vector<FuzzOp> take() { return std::move(Ops); }
+  std::vector<MallocOp> take() { return std::move(Ops); }
 
 private:
   uint64_t LiveBound;
   uint64_t LiveWords = 0;
-  std::vector<FuzzOp> Ops;
-  /// (schedule position, size) of live allocations, oldest first.
-  std::vector<std::pair<size_t, uint64_t>> Live;
+  uint64_t NumAllocs = 0;
+  std::vector<MallocOp> Ops;
+  /// The free of each live allocation, oldest first.
+  std::vector<MallocOp> Live;
 };
 
 using Opt = WorkloadFuzzer::Options;
@@ -243,8 +193,8 @@ void genComb(ScheduleBuilder &B, Rng &R, const Opt &O, size_t N) {
 /// Records \p P running against a first-fit manager until roughly
 /// \p TargetOps alloc/free events were captured, then converts the log
 /// into a schedule.
-std::vector<FuzzOp> recordProgram(Program &P, uint64_t LiveBound,
-                                  uint64_t TargetOps) {
+std::vector<MallocOp> recordProgram(Program &P, uint64_t LiveBound,
+                                    uint64_t TargetOps) {
   Heap H;
   FirstFitManager MM(H, /*C=*/0.0);
   EventLog Log;
@@ -252,11 +202,10 @@ std::vector<FuzzOp> recordProgram(Program &P, uint64_t LiveBound,
   Execution E(MM, P, LiveBound);
   while (E.runStep() && Log.size() < TargetOps)
     ;
-  FuzzSchedule S = scheduleFromTrace(Log.toTrace(), 0, "");
-  return std::move(S.Ops);
+  return Log.toSchedule();
 }
 
-std::vector<FuzzOp> genChurn(Rng &R, const Opt &O) {
+std::vector<MallocOp> genChurn(Rng &R, const Opt &O) {
   RandomChurnProgram::Options CO;
   CO.Steps = O.NumOps; // stopped by the op-count cap, not the step count
   CO.TargetOccupancy = 0.85;
@@ -267,7 +216,7 @@ std::vector<FuzzOp> genChurn(Rng &R, const Opt &O) {
   return recordProgram(P, O.LiveBound, O.NumOps);
 }
 
-std::vector<FuzzOp> genPhase(Rng &R, const Opt &O) {
+std::vector<MallocOp> genPhase(Rng &R, const Opt &O) {
   MarkovPhaseProgram::Options PO;
   PO.Phases = O.NumOps;
   PO.StepsPerPhase = 6;
@@ -324,19 +273,18 @@ FuzzSchedule WorkloadFuzzer::generate() const {
 
   if (Opts.P == Pattern::Trace) {
     assert(Opts.TraceOps && "Pattern::Trace needs Options::TraceOps");
-    FuzzSchedule Full =
-        scheduleFromTrace(*Opts.TraceOps, Opts.Seed, S.Pattern);
-    size_t N = Full.Ops.size();
+    S.Ops = *Opts.TraceOps;
+    size_t N = S.Ops.size();
     size_t Window = std::min<size_t>(size_t(Opts.NumOps), N);
     if (Window == N)
-      return Full;
-    // A seeded contiguous window; subset() re-points frees and drops
-    // those whose allocation fell outside, so the window is well-formed.
+      return S;
+    // A seeded contiguous window; subset() renumbers and drops the frees
+    // whose allocation fell outside, so the window is well-formed.
     size_t Start = size_t(R.nextBelow(N - Window + 1));
     std::vector<bool> Keep(N, false);
     for (size_t I = Start; I != Start + Window; ++I)
       Keep[I] = true;
-    return Full.subset(Keep);
+    return S.subset(Keep);
   }
 
   switch (Opts.P) {

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// Generates seeded random allocate/free schedules for differential
-/// fuzzing. A schedule is a list of FuzzOps: unlike TraceOp (which frees
-/// by allocation ordinal), a FuzzOp free names its partner allocation by
-/// *schedule position*, so any subset of a schedule remains well-formed —
-/// frees whose partner was dropped simply vanish. That closure property
-/// is what makes delta-debugging minimization straightforward.
+/// fuzzing. A schedule is an ordinal-form MallocOp vector
+/// (adversary/Schedule.h), and any subset of it stays well-formed once
+/// the frees of dropped allocations are dropped too and the rest are
+/// renumbered. That closure property is what makes delta-debugging
+/// minimization straightforward.
 ///
 /// Patterns cover the size and lifetime distributions that historically
 /// break allocators: uniform churn with arbitrary (non-power-of-two)
@@ -26,7 +26,7 @@
 #ifndef PCBOUND_FUZZ_WORKLOADFUZZER_H
 #define PCBOUND_FUZZ_WORKLOADFUZZER_H
 
-#include "adversary/SyntheticWorkloads.h"
+#include "adversary/Schedule.h"
 #include "support/Random.h"
 
 #include <cstdint>
@@ -36,47 +36,24 @@
 
 namespace pcb {
 
-/// One operation of a fuzz schedule.
-struct FuzzOp {
-  enum class Kind : uint8_t { Alloc, Free };
-  Kind Op = Kind::Alloc;
-  uint64_t Size = 0;   ///< Alloc: words requested.
-  size_t AllocPos = 0; ///< Free: schedule index of the partner Alloc.
-
-  static FuzzOp alloc(uint64_t Size) {
-    return FuzzOp{Kind::Alloc, Size, 0};
-  }
-  static FuzzOp release(size_t AllocPos) {
-    return FuzzOp{Kind::Free, 0, AllocPos};
-  }
-};
-
 /// A generated schedule plus the parameters it was generated under.
 struct FuzzSchedule {
   uint64_t Seed = 0;
   std::string Pattern;
-  std::vector<FuzzOp> Ops;
+  /// In ordinal form.
+  std::vector<MallocOp> Ops;
 
   size_t size() const { return Ops.size(); }
 
-  /// Lowers the schedule — optionally restricted to the \p Keep subset of
-  /// its operations — to the TraceOp list TraceReplayProgram consumes.
-  /// Allocation ordinals are re-numbered densely; frees whose partner
-  /// allocation is not kept are dropped.
-  std::vector<TraceOp>
-  materialize(const std::vector<bool> *Keep = nullptr) const;
+  /// A copy of the operations. The library reads Ops directly; this
+  /// spelling stays because the frozen end-to-end benchmark package
+  /// (perfbench/) calls it.
+  std::vector<MallocOp> materialize() const { return Ops; }
 
-  /// The compacted sub-schedule selected by \p Keep, with free partners
-  /// re-pointed at the new positions (frees of dropped allocations are
-  /// dropped too).
+  /// The sub-schedule selected by \p Keep: frees of dropped allocations
+  /// are dropped too, and the kept allocations are renumbered densely.
   FuzzSchedule subset(const std::vector<bool> &Keep) const;
 };
-
-/// Converts a plain trace into a schedule (the inverse of materialize),
-/// so recorded executions can enter the shrinking pipeline. The trace
-/// must be valid (validateTrace).
-FuzzSchedule scheduleFromTrace(const std::vector<TraceOp> &Trace,
-                               uint64_t Seed, const std::string &Pattern);
 
 /// Seeded random schedule generator.
 class WorkloadFuzzer {
@@ -103,12 +80,12 @@ public:
     unsigned MaxLogSize = 8;
     Pattern P = Pattern::Mixed;
     /// Pattern::Trace's source (required for it): a recorded trace in
-    /// the ordinal-free TraceOp convention, shared so a corpus-sized
-    /// trace is not copied per iteration. Each seed selects a different
+    /// ordinal form, shared so a corpus-sized trace is not copied per
+    /// iteration. Each seed selects a different
     /// contiguous window of roughly NumOps operations; subset() closure
     /// keeps every window well-formed, and windows enter ddmin shrinking
     /// like any generated schedule.
-    std::shared_ptr<const std::vector<TraceOp>> TraceOps;
+    std::shared_ptr<const std::vector<MallocOp>> TraceOps;
   };
 
   explicit WorkloadFuzzer(const Options &O) : Opts(O) {}

@@ -224,3 +224,13 @@ std::vector<double> pcb::parseNumberList(const OptionParser &Opts,
   }
   return Values;
 }
+
+unsigned pcb::parseLogWord(const OptionParser &Opts, const std::string &Name,
+                           unsigned Default) {
+  uint64_t Log = Opts.getUInt(Name, Default);
+  if (Log > 60)
+    throw std::invalid_argument(
+        Name + "=" + std::to_string(Log) + " is out of range: 2^" + Name +
+        " words must fit the 2^60-word address space (" + Name + " <= 60)");
+  return unsigned(Log);
+}

@@ -124,6 +124,12 @@ std::vector<double> parseNumberList(const OptionParser &Opts,
                                     const std::string &Name,
                                     const std::string &Default);
 
+/// Reads the log2 size word \p Name (logm=, logn=, maxlog=, ...), or
+/// \p Default when it is absent. Throws std::invalid_argument naming the
+/// word unless 2^value words fit the 2^60-word address space.
+unsigned parseLogWord(const OptionParser &Opts, const std::string &Name,
+                      unsigned Default);
+
 } // namespace pcb
 
 #endif // PCBOUND_RUNNER_RUNNER_H

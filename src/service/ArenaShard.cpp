@@ -100,11 +100,10 @@ void ArenaShard::flush() {
   ScopedTimer Timer(Profiler::SecServeFlush);
   for (const Request &Q : Pending) {
     Resident &R = Slots[Q.Slot];
-    if (Q.Op.Op == TraceOp::Kind::Alloc) {
-      R.AllocIds.push_back(MM->allocate(Q.Op.Value));
-    } else {
-      MM->free(R.AllocIds[size_t(Q.Op.Value)]);
-    }
+    if (Q.Op.isAlloc())
+      R.AllocIds.push_back(MM->allocate(Q.Op.Size));
+    else
+      MM->free(R.AllocIds[size_t(Q.Op.Id)]);
     ++R.Applied;
     ++OpsApplied;
     if (R.Applied == R.Ops.size()) {

@@ -137,14 +137,14 @@ private:
   struct Resident {
     bool Active = false;
     uint64_t GlobalId = 0;
-    std::vector<TraceOp> Ops;
+    std::vector<MallocOp> Ops; ///< in ordinal form
     size_t Enqueued = 0; ///< ops submitted to the arena queue so far
     size_t Applied = 0;  ///< ops the flusher has executed so far
-    std::vector<ObjectId> AllocIds; ///< by per-session allocation ordinal
+    std::vector<ObjectId> AllocIds; ///< indexed by MallocOp::Id
   };
   struct Request {
     uint32_t Slot;
-    TraceOp Op;
+    MallocOp Op;
   };
 
   /// Admits sessions (in global order) into free slots.

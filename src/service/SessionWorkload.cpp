@@ -31,30 +31,30 @@ namespace {
 
 /// Teardown: free every allocation the schedule left live, in
 /// allocation order. Retired sessions hold no memory.
-void appendTeardown(std::vector<TraceOp> &Ops) {
-  uint64_t NumAllocs = 0;
-  for (const TraceOp &Op : Ops)
-    if (Op.Op == TraceOp::Kind::Alloc)
-      ++NumAllocs;
-  std::vector<bool> Freed(size_t(NumAllocs), false);
-  for (const TraceOp &Op : Ops)
-    if (Op.Op == TraceOp::Kind::Free)
-      Freed[size_t(Op.Value)] = true;
-  for (uint64_t A = 0; A != NumAllocs; ++A)
-    if (!Freed[size_t(A)])
-      Ops.push_back(TraceOp::release(A));
+void appendTeardown(std::vector<MallocOp> &Ops) {
+  // Size of each allocation while it is live, 0 once freed.
+  std::vector<uint64_t> LiveSize;
+  for (const MallocOp &Op : Ops) {
+    if (Op.isAlloc())
+      LiveSize.push_back(Op.Size);
+    else
+      LiveSize[size_t(Op.Id)] = 0;
+  }
+  for (size_t A = 0; A != LiveSize.size(); ++A)
+    if (LiveSize[A] != 0)
+      Ops.push_back(MallocOp::release(A, LiveSize[A]));
 }
 
 } // namespace
 
-std::vector<TraceOp> pcb::generateSessionTrace(const SessionParams &P,
-                                               uint64_t GlobalId) {
+std::vector<MallocOp> pcb::generateSessionTrace(const SessionParams &P,
+                                                uint64_t GlobalId) {
   if (P.Trace) {
     // One trace = one session class: every session replays the recorded
     // schedule (plus teardown), and differs only in where the fleet's
     // striping, batching and residency interleave it with its
     // neighbours.
-    std::vector<TraceOp> Ops = *P.Trace;
+    std::vector<MallocOp> Ops = *P.Trace;
     appendTeardown(Ops);
     return Ops;
   }
@@ -65,7 +65,7 @@ std::vector<TraceOp> pcb::generateSessionTrace(const SessionParams &P,
   FO.LiveBound = P.LiveBound;
   FO.MaxLogSize = P.MaxLogSize;
   FO.P = sessionPattern(GlobalId);
-  std::vector<TraceOp> Ops = WorkloadFuzzer(FO).generate().materialize();
+  std::vector<MallocOp> Ops = WorkloadFuzzer(FO).generate().Ops;
   appendTeardown(Ops);
   return Ops;
 }

@@ -16,7 +16,7 @@
 /// arena slot, batch, thread, or steal served them, which is what makes
 /// the fleet report reproducible at any thread count.
 ///
-/// Sessions are generated lazily (a few hundred bytes of TraceOps when
+/// Sessions are generated lazily (a few hundred bytes of MallocOps when
 /// admitted, freed at retirement), so a fleet can hold millions of
 /// pending sessions while only MaxResident-per-arena are materialized.
 ///
@@ -25,7 +25,6 @@
 #ifndef PCBOUND_SERVICE_SESSIONWORKLOAD_H
 #define PCBOUND_SERVICE_SESSIONWORKLOAD_H
 
-#include "adversary/SyntheticWorkloads.h"
 #include "fuzz/WorkloadFuzzer.h"
 
 #include <cstdint>
@@ -51,7 +50,7 @@ struct SessionParams {
   /// caller must raise LiveBound to at least the trace's peak live
   /// volume. Shared: a production-sized trace is materialized once per
   /// fleet, not once per session.
-  std::shared_ptr<const std::vector<TraceOp>> Trace;
+  std::shared_ptr<const std::vector<MallocOp>> Trace;
 };
 
 /// The seed of session \p GlobalId: splitSeed(FleetSeed, GlobalId).
@@ -68,10 +67,10 @@ WorkloadFuzzer::Pattern sessionPattern(uint64_t GlobalId);
 /// schedule for (sessionSeed, sessionPattern), with teardown frees
 /// appended for every allocation the schedule leaves live — sessions
 /// release all their memory when they retire, so a draining fleet's live
-/// volume stays bounded by the resident sessions alone. Frees name their
-/// allocation by per-session allocation ordinal (TraceOp convention).
-std::vector<TraceOp> generateSessionTrace(const SessionParams &P,
-                                          uint64_t GlobalId);
+/// volume stays bounded by the resident sessions alone. The list is in
+/// ordinal form (adversary/Schedule.h), numbered per session.
+std::vector<MallocOp> generateSessionTrace(const SessionParams &P,
+                                           uint64_t GlobalId);
 
 } // namespace pcb
 

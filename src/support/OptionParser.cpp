@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <stdexcept>
 
 using namespace pcb;
 
@@ -80,7 +81,10 @@ uint64_t OptionParser::getUInt(const std::string &Name,
   if (It == Options.end())
     return Default;
   uint64_t Out;
-  return parseWordCount(It->second, Out) ? Out : Default;
+  if (!parseWordCount(It->second, Out))
+    throw std::invalid_argument("invalid number '" + It->second + "' in " +
+                                Name + "=");
+  return Out;
 }
 
 double OptionParser::getDouble(const std::string &Name, double Default) const {
@@ -89,7 +93,10 @@ double OptionParser::getDouble(const std::string &Name, double Default) const {
     return Default;
   char *End = nullptr;
   double Value = std::strtod(It->second.c_str(), &End);
-  return (End && *End == '\0') ? Value : Default;
+  if (It->second.empty() || !End || *End != '\0')
+    throw std::invalid_argument("invalid number '" + It->second + "' in " +
+                                Name + "=");
+  return Value;
 }
 
 bool OptionParser::getBool(const std::string &Name, bool Default) const {

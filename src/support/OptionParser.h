@@ -10,7 +10,7 @@
 /// take the form `name=value` or `--name=value`; anything else is kept as a
 /// positional argument. Numeric getters accept suffixes K/M/G (powers of
 /// 1024) so parameters can be written the way the paper writes them
-/// ("M=256M", "n=1M").
+/// ("M=256M", "n=1M"), and reject a value that does not parse.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,11 +36,13 @@ public:
   std::string getString(const std::string &Name,
                         const std::string &Default) const;
 
-  /// Unsigned option with optional K/M/G suffix, or \p Default when absent
-  /// or malformed.
+  /// Unsigned option with optional K/M/G suffix, or \p Default when
+  /// absent. Throws std::invalid_argument naming the word when the value
+  /// does not parse.
   uint64_t getUInt(const std::string &Name, uint64_t Default) const;
 
-  /// Double option, or \p Default when absent or malformed.
+  /// Double option, or \p Default when absent. Throws
+  /// std::invalid_argument naming the word when the value does not parse.
   double getDouble(const std::string &Name, double Default) const;
 
   /// Boolean option: "1", "true", "yes" are true.

@@ -33,23 +33,13 @@
 #ifndef PCBOUND_TRACE_TRACEFORMAT_H
 #define PCBOUND_TRACE_TRACEFORMAT_H
 
+#include "adversary/Schedule.h"
+
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 
 namespace pcb {
-
-/// One allocation-level trace operation.
-struct MallocOp {
-  enum class Kind : uint8_t { Alloc, Free } Op = Kind::Alloc;
-  /// Trace id of the object (allocation slot, reusable after a free).
-  uint64_t Id = 0;
-  /// Words allocated. Filled in for frees too (from the live window), so
-  /// consumers can account live volume without their own id map.
-  uint64_t Size = 0;
-
-  bool isAlloc() const { return Op == Kind::Alloc; }
-};
 
 /// The two encodings of the format.
 enum class TraceFraming : uint8_t { Text, Binary };

@@ -9,16 +9,9 @@
 
 using namespace pcb;
 
-void TraceRecorder::record(const TraceOp &Op) {
-  if (Op.Op == TraceOp::Kind::Alloc)
-    W.alloc(NextAllocOrdinal++, Op.Value);
-  else
-    W.free(Op.Value);
-}
-
-void TraceRecorder::record(const std::vector<TraceOp> &Ops) {
-  for (const TraceOp &Op : Ops)
-    record(Op);
+void TraceRecorder::record(const std::vector<MallocOp> &Ops) {
+  for (const MallocOp &Op : Ops)
+    W.record(Op);
 }
 
 std::function<void(const HeapEvent &)> TraceRecorder::heapTap() {

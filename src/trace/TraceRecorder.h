@@ -17,20 +17,21 @@
 ///              and controllers. This records adversaries, synthetic
 ///              programs, and whole fleet runs at production sizes.
 ///
-///   record(TraceOp)  lowers the ordinal-free TraceOp convention (frees
-///              name the k-th allocation) used by fuzz schedules and
-///              fleet sessions, numbering allocations as it goes.
+///   record()   writes an ordinal-form schedule (adversary/Schedule.h),
+///              as fuzz schedules and fleet sessions hold it: its ids are
+///              allocation ordinals, which are valid trace ids as they
+///              stand.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_TRACE_TRACERECORDER_H
 #define PCBOUND_TRACE_TRACERECORDER_H
 
-#include "adversary/SyntheticWorkloads.h"
 #include "heap/HeapEvent.h"
 #include "trace/TraceFormat.h"
 
 #include <functional>
+#include <vector>
 
 namespace pcb {
 
@@ -39,11 +40,8 @@ class TraceRecorder {
 public:
   TraceRecorder(std::ostream &OS, TraceFraming F) : W(OS, F) {}
 
-  /// Records one TraceOp (frees name allocation ordinals).
-  void record(const TraceOp &Op);
-
-  /// Records a whole TraceOp list.
-  void record(const std::vector<TraceOp> &Ops);
+  /// Records a whole ordinal-form schedule.
+  void record(const std::vector<MallocOp> &Ops);
 
   /// The Heap::setEventCallback adapter. The recorder must outlive the
   /// callback's installation.
@@ -55,7 +53,6 @@ public:
 
 private:
   TraceWriter W;
-  uint64_t NextAllocOrdinal = 0;
 };
 
 } // namespace pcb

@@ -21,8 +21,14 @@
 using namespace pcb;
 
 bool StreamingTraceProgram::readAhead() {
+  if (!Reader) {
+    if (NextOp == Ops.size())
+      return false;
+    Pending = Ops[NextOp++];
+    return true;
+  }
   ScopedTimer T(Profiler::SecTraceRead);
-  return Reader.next(Pending);
+  return Reader->next(Pending);
 }
 
 bool StreamingTraceProgram::step(MutatorContext &Ctx) {
@@ -36,16 +42,17 @@ bool StreamingTraceProgram::step(MutatorContext &Ctx) {
   HavePending = readAhead();
   Profiler::bump(Profiler::CtrTraceOps);
   if (Op.isAlloc()) {
-    // The reader rejected duplicate live ids, so the insert must be new.
+    // The reader (or checkSchedule) rejected duplicate live ids, so the
+    // insert must be new.
     ObjectId Id = Ctx.allocate(Op.Size);
     bool Inserted = LiveIds.emplace(Op.Id, Id).second;
-    assert(Inserted && "reader admitted a duplicate live id");
+    assert(Inserted && "schedule allocates a live id");
     (void)Inserted;
     if (LiveIds.size() > MaxLiveWindow)
       MaxLiveWindow = LiveIds.size();
   } else {
     auto It = LiveIds.find(Op.Id);
-    assert(It != LiveIds.end() && "reader admitted a free of a dead id");
+    assert(It != LiveIds.end() && "schedule frees an id that is not live");
     Ctx.free(It->second);
     LiveIds.erase(It);
   }
@@ -192,25 +199,13 @@ bool TraceRunReport::writeFile(const std::string &Path,
   return true;
 }
 
-std::vector<TraceOp> pcb::materializeTrace(TraceReader &R,
-                                           std::string *Error) {
-  std::vector<TraceOp> Ops;
-  // Trace ids are reusable; allocation ordinals are not. The window maps
-  // the live id to the ordinal of the allocation that created it.
-  std::unordered_map<uint64_t, uint64_t> OrdinalOf;
-  uint64_t NextOrdinal = 0;
+std::vector<MallocOp> pcb::materializeTrace(TraceReader &R,
+                                            std::string *Error) {
+  std::vector<MallocOp> Ops;
+  OrdinalRenumbering Renumber;
   MallocOp Op;
-  while (R.next(Op)) {
-    if (Op.isAlloc()) {
-      OrdinalOf[Op.Id] = NextOrdinal++;
-      Ops.push_back(TraceOp::alloc(Op.Size));
-    } else {
-      auto It = OrdinalOf.find(Op.Id);
-      assert(It != OrdinalOf.end() && "reader admitted a free of a dead id");
-      Ops.push_back(TraceOp::release(It->second));
-      OrdinalOf.erase(It);
-    }
-  }
+  while (R.next(Op))
+    Ops.push_back(Renumber(Op));
   if (R.failed()) {
     if (Error)
       *Error = R.error();

@@ -8,9 +8,8 @@
 /// \file
 /// Replays a streamed malloc trace through a manager under a budget
 /// controller. StreamingTraceProgram is a Program that pulls one MallocOp
-/// per step straight from a TraceReader — the trace is never
-/// materialized, so memory use is bounded by the live-id window, not the
-/// op count. runTrace() assembles the whole stack (heap, manager,
+/// per step, straight from a TraceReader or from an ordinal-form vector.
+/// runTrace() assembles the whole stack (heap, manager,
 /// controller, execution) and returns a TraceRunReport whose text and
 /// JSON renderings are deterministic: pure functions of the trace and
 /// configuration, no wall-clock, suitable for golden files and the
@@ -22,7 +21,6 @@
 #define PCBOUND_TRACE_TRACERUN_H
 
 #include "adversary/Program.h"
-#include "adversary/SyntheticWorkloads.h"
 #include "driver/Execution.h"
 #include "trace/BudgetController.h"
 #include "trace/TraceReader.h"
@@ -35,10 +33,17 @@
 
 namespace pcb {
 
-/// A Program that replays a TraceReader's stream, one op per step.
+/// The one Program that replays a schedule, one op per step. It pulls
+/// ops from one of two sources: a TraceReader's stream (never
+/// materialized, so memory use is bounded by the live-id window, not
+/// the op count), or an owned ordinal-form vector (checkSchedule must
+/// accept it).
 class StreamingTraceProgram : public Program {
 public:
-  explicit StreamingTraceProgram(TraceReader &R) : Reader(R) {}
+  /// Streams \p R, which must outlive the program.
+  explicit StreamingTraceProgram(TraceReader &R) : Reader(&R) {}
+  explicit StreamingTraceProgram(std::vector<MallocOp> Ops)
+      : Ops(std::move(Ops)) {}
 
   bool step(MutatorContext &Ctx) override;
   std::string name() const override { return "trace-stream"; }
@@ -50,12 +55,14 @@ public:
 private:
   bool readAhead();
 
-  TraceReader &Reader;
+  /// The stream source, or null when replaying Ops.
+  TraceReader *Reader = nullptr;
+  std::vector<MallocOp> Ops;
+  size_t NextOp = 0;
   std::unordered_map<uint64_t, ObjectId> LiveIds;
   size_t MaxLiveWindow = 0;
-  /// One-op lookahead, so the last operation's step reports end-of-trace
-  /// the way TraceReplayProgram's does and a streamed run is
-  /// step-for-step identical to a materialized one.
+  /// One-op lookahead, so the last operation's step reports the end of
+  /// the schedule.
   MallocOp Pending;
   bool HavePending = false;
   bool Primed = false;
@@ -119,12 +126,11 @@ TraceRunReport runTrace(TraceReader &R, const TraceRunOptions &Opts,
 TraceRunReport runTrace(std::istream &IS, const TraceRunOptions &Opts,
                         const std::string &TraceName = "<stream>");
 
-/// Materializes \p R into the ordinal-free TraceOp convention (frees name
-/// the k-th allocation) used by fuzz schedules and fleet sessions.
-/// Returns an empty vector and sets \p Error on a validation failure.
-/// This is the non-streaming path — only for traces meant to be held
-/// whole (fuzz corpora, session classes), never for trace-run.
-std::vector<TraceOp> materializeTrace(TraceReader &R, std::string *Error);
+/// Materializes \p R into an ordinal-form schedule, as held by fuzz
+/// corpora and fleet session classes. Returns an empty vector and sets
+/// \p Error on a validation failure. This is the non-streaming path —
+/// only for traces meant to be held whole, never for trace-run.
+std::vector<MallocOp> materializeTrace(TraceReader &R, std::string *Error);
 
 } // namespace pcb
 

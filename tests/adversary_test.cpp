@@ -19,6 +19,7 @@
 #include "mm/ManagerFactory.h"
 #include "mm/SegregatedFitManager.h"
 #include "mm/SequentialFitManagers.h"
+#include "trace/TraceRun.h"
 
 #include <gtest/gtest.h>
 
@@ -753,19 +754,21 @@ TEST(WorkloadSpec, PhaseOccupancyIsHonoured) {
 TEST(TraceReplay, ExactSequence) {
   Heap H;
   FirstFitManager MM(H, 10.0);
-  std::vector<TraceOp> Trace = {
-      TraceOp::alloc(8), TraceOp::alloc(4), TraceOp::release(0),
-      TraceOp::alloc(2),
-  };
-  TraceReplayProgram P(Trace);
+  StreamingTraceProgram P({
+      MallocOp::alloc(0, 8),
+      MallocOp::alloc(1, 4),
+      MallocOp::release(0, 8),
+      MallocOp::alloc(2, 2),
+  });
   Execution E(MM, P, 1024);
   ExecutionResult R = E.run();
   EXPECT_EQ(R.NumAllocations, 3u);
   EXPECT_EQ(R.NumFrees, 1u);
-  EXPECT_FALSE(H.isLive(P.idOfAllocation(0)));
-  EXPECT_TRUE(H.isLive(P.idOfAllocation(1)));
+  // A fresh heap numbers its objects in allocation order.
+  EXPECT_FALSE(H.isLive(0));
+  EXPECT_TRUE(H.isLive(1));
   // The 2-word object reuses the freed 8-word hole under first fit.
-  EXPECT_EQ(H.object(P.idOfAllocation(2)).Address, 0u);
+  EXPECT_EQ(H.object(2).Address, 0u);
 }
 
 } // namespace

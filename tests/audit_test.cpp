@@ -21,6 +21,7 @@
 #include "mm/ManagerFactory.h"
 #include "mm/SequentialFitManagers.h"
 #include "support/MathUtils.h"
+#include "trace/TraceRun.h"
 
 #include <gtest/gtest.h>
 
@@ -49,20 +50,17 @@ TEST(EventLog, RecordsHeapMutations) {
   EXPECT_EQ(Log.events()[2].Address, 16u);
 }
 
-TEST(EventLog, ToTraceKeepsProgramBehaviourOnly) {
+TEST(EventLog, ToScheduleKeepsProgramBehaviourOnly) {
   EventLog Log;
   Log.record(HeapEvent::alloc(0, 0, 8));
   Log.record(HeapEvent::alloc(1, 8, 4));
   Log.record(HeapEvent::move(0, 0, 32, 8));
   Log.record(HeapEvent::release(0, 32, 8));
   Log.record(HeapEvent::stepEnd());
-  std::vector<TraceOp> Trace = Log.toTrace();
-  ASSERT_EQ(Trace.size(), 3u);
-  EXPECT_EQ(Trace[0].Op, TraceOp::Kind::Alloc);
-  EXPECT_EQ(Trace[0].Value, 8u);
-  EXPECT_EQ(Trace[1].Op, TraceOp::Kind::Alloc);
-  EXPECT_EQ(Trace[2].Op, TraceOp::Kind::Free);
-  EXPECT_EQ(Trace[2].Value, 0u); // frees the first allocation
+  // The free names the first allocation's ordinal and carries its size.
+  std::vector<MallocOp> Want = {MallocOp::alloc(0, 8), MallocOp::alloc(1, 4),
+                                MallocOp::release(0, 8)};
+  EXPECT_EQ(Log.toSchedule(), Want);
 }
 
 // --- Auditors ---------------------------------------------------------------
@@ -204,7 +202,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Replay, AdversaryTraceHurtsNonMovingManagerEqually) {
   // Record PF against first fit, replay the identical allocation/free
-  // sequence through TraceReplayProgram against a fresh first fit: the
+  // sequence through StreamingTraceProgram against a fresh first fit: the
   // deterministic manager must produce the identical footprint.
   const uint64_t M = pow2(12);
   const uint64_t N = pow2(7);
@@ -222,7 +220,7 @@ TEST(Replay, AdversaryTraceHurtsNonMovingManagerEqually) {
   {
     Heap H;
     FirstFitManager MM(H, 1e18);
-    TraceReplayProgram Replay(Log.toTrace());
+    StreamingTraceProgram Replay(Log.toSchedule());
     Execution E(MM, Replay, M);
     EXPECT_EQ(E.run().HeapSize, DirectHS);
   }
@@ -243,11 +241,11 @@ TEST(Replay, TraceIsManagerPortable) {
     Execution E(MM, PR, M, Opts);
     E.run();
   }
-  std::vector<TraceOp> Trace = Log.toTrace();
+  std::vector<MallocOp> Schedule = Log.toSchedule();
   for (const std::string &Policy : allManagerPolicies()) {
     Heap H;
     auto MM = createManager(Policy, H, 10.0, /*LiveBound=*/M);
-    TraceReplayProgram Replay(Trace);
+    StreamingTraceProgram Replay(Schedule);
     Execution E(*MM, Replay, M);
     ExecutionResult R = E.run();
     EXPECT_LE(R.PeakLiveWords, M) << Policy;
@@ -351,7 +349,7 @@ TEST(TraceIO, ReplayOfReloadedTraceReproducesStats) {
 
   Heap H;
   auto MM = createManager("first-fit", H, 50.0);
-  TraceReplayProgram Replay(Back.toTrace());
+  StreamingTraceProgram Replay(Back.toSchedule());
   Execution E(*MM, Replay, M);
   E.run();
   const HeapStats &Replayed = H.stats();

@@ -20,6 +20,7 @@
 #include "mm/ManagerFactory.h"
 #include "realloc/ReallocationLedger.h"
 #include "support/MathUtils.h"
+#include "trace/TraceRun.h"
 
 #include <gtest/gtest.h>
 
@@ -31,9 +32,8 @@ using namespace pcb;
 namespace {
 
 // Records \p ProgName (run through a never-moving manager, so the trace
-// is placement-independent) as a replayable trace.
-std::vector<TraceOp> recordUpdateTrace(const std::string &ProgName,
-                                       uint64_t M) {
+// is placement-independent) as a replayable schedule.
+FuzzSchedule recordUpdateSchedule(const std::string &ProgName, uint64_t M) {
   Heap H;
   auto MM = createManager("realloc-never", H, 50.0, M);
   auto Prog = createProgram(ProgName, M, 6, 50.0);
@@ -43,7 +43,7 @@ std::vector<TraceOp> recordUpdateTrace(const std::string &ProgName,
   EO.Log = &Log;
   Execution E(*MM, *Prog, M, EO);
   E.run();
-  return Log.toTrace();
+  return FuzzSchedule{0, ProgName, Log.toSchedule()};
 }
 
 // --- Compaction-family adversaries through reallocation managers -----------
@@ -125,10 +125,9 @@ TEST(CrossFamily, UpdateTracesThroughEveryPolicy) {
   DifferentialHarness Harness; // default options: the whole registry
   ASSERT_EQ(Harness.options().Policies.size(), allManagerPolicies().size());
   for (const std::string &ProgName : updateProgramNames()) {
-    std::vector<TraceOp> Trace = recordUpdateTrace(ProgName, pow2(11));
-    ASSERT_FALSE(Trace.empty()) << ProgName;
-    DifferentialReport Report =
-        Harness.run(scheduleFromTrace(Trace, 0, ProgName));
+    FuzzSchedule S = recordUpdateSchedule(ProgName, pow2(11));
+    ASSERT_FALSE(S.Ops.empty()) << ProgName;
+    DifferentialReport Report = Harness.run(S);
     EXPECT_TRUE(Report.clean()) << ProgName << ":\n" << Report.summary();
   }
 }
@@ -140,9 +139,8 @@ TEST(CrossFamily, UpdateTracesThroughEveryPolicy) {
 // for the reallocation family.
 TEST(CrossFamily, FootprintAndOverheadInvariantsBothDirections) {
   DifferentialHarness Harness;
-  std::vector<TraceOp> Trace = recordUpdateTrace("update-mix", pow2(11));
   DifferentialReport Report =
-      Harness.run(scheduleFromTrace(Trace, 0, "update-mix"));
+      Harness.run(recordUpdateSchedule("update-mix", pow2(11)));
   ASSERT_TRUE(Report.clean()) << Report.summary();
   std::map<std::string, double> ReallocBounds = {
       {"realloc-never", 0.0}, {"realloc-bucket", 1.0}, {"realloc-jin", 2.0}};
@@ -168,8 +166,8 @@ TEST(CrossFamily, FootprintAndOverheadInvariantsBothDirections) {
 // backfilling and repacking schemes reclaim the gaps, and an unlimited
 // compactor beats a first-fit non-mover.
 TEST(CrossFamily, UpdateAdversarySeparatesManagers) {
-  std::vector<TraceOp> Trace = recordUpdateTrace("update-comb", pow2(11));
-  uint64_t M = tracePeakLiveWords(Trace);
+  FuzzSchedule S = recordUpdateSchedule("update-comb", pow2(11));
+  uint64_t M = checkSchedule(S.Ops).value();
   std::map<std::string, uint64_t> Footprints;
   for (const std::string Policy :
        {"first-fit", "sliding-unlimited", "realloc-never", "realloc-bucket",
@@ -177,7 +175,7 @@ TEST(CrossFamily, UpdateAdversarySeparatesManagers) {
     Heap H;
     auto MM = createManager(Policy, H, 50.0, M);
     ASSERT_NE(MM, nullptr) << Policy;
-    TraceReplayProgram P(Trace);
+    StreamingTraceProgram P(S.Ops);
     Execution E(*MM, P, M);
     Footprints[Policy] = E.run().HeapSize;
   }

@@ -361,7 +361,7 @@ TEST(Witness, EventLogRoundTripsThroughTraceIO) {
   std::string Error;
   ASSERT_TRUE(readEventLog(SS, Back, &Error)) << Error;
   ASSERT_EQ(Back.size(), Log.size());
-  EXPECT_TRUE(validateTrace(Back.toTrace()));
+  EXPECT_TRUE(checkSchedule(Back.toSchedule()).has_value());
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include "heap/FreeSpaceIndex.h"
 #include "heap/Heap.h"
 #include "mm/SequentialFitManagers.h"
+#include "trace/TraceRun.h"
 
 #include <gtest/gtest.h>
 
@@ -122,23 +123,25 @@ TEST(FailureInjection, ProgramExceedingLiveBoundDies) {
       "live bound");
 }
 
-void runTrace(std::vector<TraceOp> Trace) {
+void runTrace(std::vector<MallocOp> Trace) {
   Heap H;
   FirstFitManager MM(H, 10.0);
-  TraceReplayProgram P(std::move(Trace));
+  StreamingTraceProgram P(std::move(Trace));
   Execution E(MM, P, 1024);
   E.run();
 }
 
 TEST(FailureInjection, TraceFreeingUnknownAllocationDies) {
-  std::vector<TraceOp> Trace = {TraceOp::alloc(4), TraceOp::release(7)};
-  EXPECT_DEATH(runTrace(Trace), "unknown allocation");
+  std::vector<MallocOp> Trace = {MallocOp::alloc(0, 4),
+                                 MallocOp::release(7, 4)};
+  EXPECT_DEATH(runTrace(Trace), "frees an id that is not live");
 }
 
 TEST(FailureInjection, TraceDoubleFreeDies) {
-  std::vector<TraceOp> Trace = {TraceOp::alloc(4), TraceOp::release(0),
-                                TraceOp::release(0)};
-  EXPECT_DEATH(runTrace(Trace), "dead object");
+  std::vector<MallocOp> Trace = {MallocOp::alloc(0, 4),
+                                 MallocOp::release(0, 4),
+                                 MallocOp::release(0, 4)};
+  EXPECT_DEATH(runTrace(Trace), "frees an id that is not live");
 }
 
 // A program that moves an object through the heap directly, bypassing

@@ -29,6 +29,7 @@
 #include "mm/MeshingCompactor.h"
 #include "mm/SequentialFitManagers.h"
 #include "support/Random.h"
+#include "trace/TraceRun.h"
 
 #include <gtest/gtest.h>
 
@@ -59,36 +60,38 @@ TEST(WorkloadFuzzer, GeneratesValidTracesForEveryPattern) {
     EXPECT_EQ(S.Pattern, WorkloadFuzzer::patternName(P));
     EXPECT_GT(S.size(), 0u) << S.Pattern;
     std::string Why;
-    EXPECT_TRUE(validateTrace(S.materialize(), &Why))
+    EXPECT_TRUE(checkSchedule(S.Ops, &Why).has_value())
         << S.Pattern << ": " << Why;
   }
 }
 
 TEST(WorkloadFuzzer, GenerationIsDeterministic) {
   WorkloadFuzzer::Options O = baseOptions(42, WorkloadFuzzer::Pattern::Mixed);
-  std::vector<TraceOp> A = WorkloadFuzzer(O).generate().materialize();
-  std::vector<TraceOp> B = WorkloadFuzzer(O).generate().materialize();
+  std::vector<MallocOp> A = WorkloadFuzzer(O).generate().Ops;
+  std::vector<MallocOp> B = WorkloadFuzzer(O).generate().Ops;
   EXPECT_EQ(A, B);
 }
 
 TEST(WorkloadFuzzer, DistinctSeedsGiveDistinctSchedules) {
   WorkloadFuzzer::Options O1 = baseOptions(1, WorkloadFuzzer::Pattern::Uniform);
   WorkloadFuzzer::Options O2 = baseOptions(2, WorkloadFuzzer::Pattern::Uniform);
-  EXPECT_NE(WorkloadFuzzer(O1).generate().materialize(),
-            WorkloadFuzzer(O2).generate().materialize());
+  EXPECT_NE(WorkloadFuzzer(O1).generate().Ops,
+            WorkloadFuzzer(O2).generate().Ops);
 }
 
 TEST(WorkloadFuzzer, RespectsLiveBound) {
   for (uint64_t Seed : {3u, 4u, 5u}) {
     WorkloadFuzzer::Options O = baseOptions(Seed, WorkloadFuzzer::Pattern::Mixed);
     FuzzSchedule S = WorkloadFuzzer(O).generate();
-    EXPECT_LE(tracePeakLiveWords(S.materialize()), O.LiveBound);
+    std::optional<uint64_t> Peak = checkSchedule(S.Ops);
+    ASSERT_TRUE(Peak.has_value());
+    EXPECT_LE(*Peak, O.LiveBound);
   }
 }
 
 // The closure property delta debugging relies on: ANY subset of a
 // schedule is still a well-formed schedule.
-TEST(WorkloadFuzzer, EverySubsetMaterializesToAValidTrace) {
+TEST(WorkloadFuzzer, EverySubsetIsAValidSchedule) {
   FuzzSchedule S =
       WorkloadFuzzer(baseOptions(7, WorkloadFuzzer::Pattern::Mixed)).generate();
   Rng R(99);
@@ -97,29 +100,22 @@ TEST(WorkloadFuzzer, EverySubsetMaterializesToAValidTrace) {
     for (size_t I = 0; I < S.size(); ++I)
       Keep[I] = R.nextBool(0.5);
     std::string Why;
-    EXPECT_TRUE(validateTrace(S.materialize(&Keep), &Why)) << Why;
-    FuzzSchedule Sub = S.subset(Keep);
-    EXPECT_TRUE(validateTrace(Sub.materialize(), &Why)) << Why;
+    EXPECT_TRUE(checkSchedule(S.subset(Keep).Ops, &Why).has_value()) << Why;
   }
 }
 
-TEST(WorkloadFuzzer, SubsetMatchesMaterializeWithKeepMask) {
-  FuzzSchedule S =
-      WorkloadFuzzer(baseOptions(8, WorkloadFuzzer::Pattern::QueueFifo))
-          .generate();
-  std::vector<bool> Keep(S.size());
-  for (size_t I = 0; I < S.size(); ++I)
-    Keep[I] = (I % 3) != 0;
-  EXPECT_EQ(S.materialize(&Keep), S.subset(Keep).materialize());
-}
-
-TEST(WorkloadFuzzer, ScheduleFromTraceRoundTrips) {
-  FuzzSchedule S =
-      WorkloadFuzzer(baseOptions(9, WorkloadFuzzer::Pattern::StackLifo))
-          .generate();
-  std::vector<TraceOp> Trace = S.materialize();
-  FuzzSchedule Back = scheduleFromTrace(Trace, S.Seed, S.Pattern);
-  EXPECT_EQ(Back.materialize(), Trace);
+TEST(WorkloadFuzzer, SubsetRenumbersAndDropsOrphanFrees) {
+  FuzzSchedule S;
+  S.Ops = {MallocOp::alloc(0, 4),   MallocOp::alloc(1, 8),
+           MallocOp::release(0, 4), MallocOp::alloc(2, 2),
+           MallocOp::release(1, 8), MallocOp::release(2, 2)};
+  // Dropping allocation 0 drops its free and shifts the later ordinals.
+  std::vector<bool> Keep = {false, true, true, true, true, true};
+  std::vector<MallocOp> Want = {MallocOp::alloc(0, 8), MallocOp::alloc(1, 2),
+                                MallocOp::release(0, 8),
+                                MallocOp::release(1, 2)};
+  EXPECT_EQ(S.subset(Keep).Ops, Want);
+  EXPECT_EQ(S.subset(std::vector<bool>(S.size(), true)).Ops, S.Ops);
 }
 
 // --- Fixed-seed differential runs ------------------------------------------
@@ -423,7 +419,7 @@ TEST(PlantedBug, GoldenReproducerStillDetects) {
   EventLog Log;
   std::string Error;
   ASSERT_TRUE(readEventLog(IS, Log, &Error)) << Error;
-  EXPECT_LE(Log.toTrace().size(), 20u);
+  EXPECT_LE(Log.toSchedule().size(), 20u);
   EXPECT_FALSE(auditEvents(Log.events()).Consistent)
       << "the corrupted event stream went undetected";
 }
@@ -440,13 +436,13 @@ FuzzSchedule chunkMergeSchedule() {
   FuzzSchedule S;
   S.Seed = 0;
   S.Pattern = "crafted-chunk-merge";
-  for (int I = 0; I != 16; ++I)
-    S.Ops.push_back(FuzzOp::alloc(8));
-  for (size_t P = 1; P < 8; P += 2)
-    S.Ops.push_back(FuzzOp::release(P));
-  for (size_t P = 8; P < 16; P += 2)
-    S.Ops.push_back(FuzzOp::release(P));
-  S.Ops.push_back(FuzzOp::alloc(24));
+  for (uint64_t I = 0; I != 16; ++I)
+    S.Ops.push_back(MallocOp::alloc(I, 8));
+  for (uint64_t I = 1; I < 8; I += 2)
+    S.Ops.push_back(MallocOp::release(I, 8));
+  for (uint64_t I = 8; I < 16; I += 2)
+    S.Ops.push_back(MallocOp::release(I, 8));
+  S.Ops.push_back(MallocOp::alloc(16, 24));
   return S;
 }
 
@@ -461,11 +457,10 @@ TEST(GoldenChunkMerge, CraftedScheduleMeshesCleanly) {
 
   // The differential run proves agreement; a direct replay proves the
   // schedule exercises what it was crafted for — an actual merge.
-  std::vector<TraceOp> Trace = S.materialize();
   Heap H;
   MeshingCompactor MM(H, 4.0);
-  TraceReplayProgram P(Trace);
-  Execution E(MM, P, tracePeakLiveWords(Trace));
+  StreamingTraceProgram P(S.Ops);
+  Execution E(MM, P, checkSchedule(S.Ops).value());
   ExecutionResult R = E.run();
   EXPECT_GE(MM.numMerges(), 1u);
   EXPECT_EQ(R.MovedWords, 32u) << "one merge: the source chunk popcount";
@@ -495,20 +490,19 @@ TEST(GoldenChunkMerge, CommittedReproducerStillMerges) {
   EventLog Log;
   std::string Error;
   ASSERT_TRUE(readEventLog(IS, Log, &Error)) << Error;
-  std::vector<TraceOp> Trace = Log.toTrace();
+  FuzzSchedule S{0, "crafted-chunk-merge", Log.toSchedule()};
 
   Heap H;
   MeshingCompactor MM(H, 4.0);
-  TraceReplayProgram P(Trace);
-  Execution E(MM, P, tracePeakLiveWords(Trace));
+  StreamingTraceProgram P(S.Ops);
+  Execution E(MM, P, checkSchedule(S.Ops).value());
   ExecutionResult R = E.run();
   EXPECT_GE(MM.numMerges(), 1u) << "the committed trace no longer merges";
   EXPECT_EQ(R.MovedWords, 32u);
 
   DifferentialHarness::Options O;
   O.C = 4.0; // default policies: the whole factory family
-  DifferentialReport Report = DifferentialHarness(O).run(
-      scheduleFromTrace(Trace, 0, "crafted-chunk-merge"));
+  DifferentialReport Report = DifferentialHarness(O).run(S);
   EXPECT_TRUE(Report.clean()) << Report.summary();
 }
 
@@ -521,15 +515,15 @@ TEST(Shrink, CustomPredicateFindsMinimum) {
           .generate();
   auto AtLeast3Allocs = [](const FuzzSchedule &Cand) {
     size_t Allocs = 0;
-    for (const FuzzOp &Op : Cand.Ops)
-      Allocs += Op.Op == FuzzOp::Kind::Alloc;
+    for (const MallocOp &Op : Cand.Ops)
+      Allocs += Op.isAlloc();
     return Allocs >= 3;
   };
   ASSERT_TRUE(AtLeast3Allocs(S));
   FuzzSchedule Minimal = Harness.shrink(S, AtLeast3Allocs);
   EXPECT_EQ(Minimal.size(), 3u);
   // The size-halving phase drives every surviving allocation to 1 word.
-  for (const FuzzOp &Op : Minimal.Ops)
+  for (const MallocOp &Op : Minimal.Ops)
     EXPECT_EQ(Op.Size, 1u);
 }
 

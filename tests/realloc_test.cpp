@@ -30,6 +30,7 @@
 #include "realloc/ReallocationLedger.h"
 #include "realloc/TightSpanAllocator.h"
 #include "realloc/UpdateProgram.h"
+#include "trace/TraceRun.h"
 #include "support/MathUtils.h"
 #include "support/Random.h"
 
@@ -635,13 +636,14 @@ TEST(GoldenWorstOverhead, CommittedReproducerStillStings) {
   EventLog Log;
   std::string Error;
   ASSERT_TRUE(readEventLog(IS, Log, &Error)) << Error;
-  std::vector<TraceOp> Trace = Log.toTrace();
-  ASSERT_FALSE(Trace.empty());
+  std::vector<MallocOp> Schedule = Log.toSchedule();
+  ASSERT_FALSE(Schedule.empty());
+  uint64_t M = checkSchedule(Schedule).value();
 
   Heap H;
   TightSpanAllocator MM(H);
-  TraceReplayProgram P(Trace);
-  Execution E(MM, P, tracePeakLiveWords(Trace));
+  StreamingTraceProgram P(std::move(Schedule));
+  Execution E(MM, P, M);
   E.run();
   const ReallocationLedger *RL = MM.reallocationLedger();
   EXPECT_GE(RL->maxPrefixRatio(), 1.0)

@@ -115,18 +115,13 @@ TEST(SessionWorkload, TraceIsStableUnderGenerationOrderPermutation) {
   P.MaxLogSize = 4;
   // Materialize ids forward, then backward; each id's trace must be
   // byte-identical — generation holds no hidden cross-session state.
-  std::vector<std::vector<TraceOp>> Forward, Backward(10);
+  std::vector<std::vector<MallocOp>> Forward, Backward(10);
   for (uint64_t Id = 0; Id != 10; ++Id)
     Forward.push_back(generateSessionTrace(P, Id));
   for (uint64_t Id = 10; Id-- != 0;)
     Backward[size_t(Id)] = generateSessionTrace(P, Id);
-  for (uint64_t Id = 0; Id != 10; ++Id) {
-    ASSERT_EQ(Forward[size_t(Id)].size(), Backward[size_t(Id)].size());
-    for (size_t I = 0; I != Forward[size_t(Id)].size(); ++I) {
-      EXPECT_EQ(Forward[size_t(Id)][I].Op, Backward[size_t(Id)][I].Op);
-      EXPECT_EQ(Forward[size_t(Id)][I].Value, Backward[size_t(Id)][I].Value);
-    }
-  }
+  for (uint64_t Id = 0; Id != 10; ++Id)
+    EXPECT_EQ(Forward[size_t(Id)], Backward[size_t(Id)]) << "session " << Id;
 }
 
 TEST(SessionWorkload, TeardownFreesEveryAllocation) {
@@ -134,10 +129,11 @@ TEST(SessionWorkload, TeardownFreesEveryAllocation) {
   P.FleetSeed = 3;
   P.TargetOps = 40;
   for (uint64_t Id = 0; Id != 8; ++Id) {
-    std::vector<TraceOp> Ops = generateSessionTrace(P, Id);
+    std::vector<MallocOp> Ops = generateSessionTrace(P, Id);
+    EXPECT_TRUE(checkSchedule(Ops).has_value()) << "session " << Id;
     uint64_t Allocs = 0, Frees = 0;
-    for (const TraceOp &Op : Ops)
-      (Op.Op == TraceOp::Kind::Alloc ? Allocs : Frees) += 1;
+    for (const MallocOp &Op : Ops)
+      (Op.isAlloc() ? Allocs : Frees) += 1;
     EXPECT_EQ(Allocs, Frees) << "session " << Id
                              << " retires with live objects";
   }

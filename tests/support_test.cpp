@@ -18,6 +18,7 @@
 #include <cmath>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 
 using namespace pcb;
 
@@ -307,7 +308,7 @@ TEST(OptionParser, ParsesPairsAndPositionals) {
   EXPECT_TRUE(P.has("M"));
   EXPECT_EQ(P.getUInt("M", 0), uint64_t(256) << 20);
   EXPECT_EQ(P.getUInt("c", 0), 50u);
-  EXPECT_EQ(P.getUInt("x", 9), 9u); // malformed falls back
+  EXPECT_THROW(P.getUInt("x", 9), std::invalid_argument);
   EXPECT_EQ(P.getUInt("absent", 3), 3u);
   ASSERT_EQ(P.positional().size(), 1u);
   EXPECT_EQ(P.positional()[0], "run");
@@ -336,7 +337,8 @@ TEST(OptionParser, MalformedPairs) {
   OptionParser P(4, Argv);
   EXPECT_TRUE(P.has("key"));
   EXPECT_EQ(P.getString("key", "fallback"), "");
-  EXPECT_EQ(P.getUInt("key", 7), 7u); // empty value is malformed
+  EXPECT_THROW(P.getUInt("key", 7), std::invalid_argument); // empty value
+  EXPECT_THROW(P.getDouble("key", 7.0), std::invalid_argument);
   ASSERT_EQ(P.positional().size(), 2u);
   EXPECT_EQ(P.positional()[0], "=value");
   EXPECT_EQ(P.positional()[1], "=");
@@ -362,12 +364,36 @@ TEST(OptionParser, OutOfRangeIntegersAreMalformed) {
   const char *Argv[] = {"tool", "big=18446744073709551616",
                         "huge=17179869184G", "neg=-5"};
   OptionParser P(4, Argv);
-  EXPECT_EQ(P.getUInt("big", 42), 42u);
-  EXPECT_EQ(P.getUInt("huge", 42), 42u);
+  EXPECT_THROW(P.getUInt("big", 42), std::invalid_argument);
+  EXPECT_THROW(P.getUInt("huge", 42), std::invalid_argument);
   // Word counts are unsigned; a negative value is malformed, while
   // getDouble accepts it.
-  EXPECT_EQ(P.getUInt("neg", 42), 42u);
+  EXPECT_THROW(P.getUInt("neg", 42), std::invalid_argument);
   EXPECT_DOUBLE_EQ(P.getDouble("neg", 0.0), -5.0);
+}
+
+// A value that is present but does not parse is an error naming the
+// word, never a silent fall back to the default.
+TEST(OptionParser, MalformedNumbersThrowNamingTheWord) {
+  const char *Argv[] = {"tool", "logm=abc", "c=5x", "t=0.5.1"};
+  OptionParser P(4, Argv);
+  auto Message = [&](auto Get) -> std::string {
+    try {
+      Get();
+    } catch (const std::invalid_argument &Ex) {
+      return Ex.what();
+    }
+    return "no exception";
+  };
+  EXPECT_EQ(Message([&] { P.getUInt("logm", 14); }),
+            "invalid number 'abc' in logm=");
+  EXPECT_EQ(Message([&] { P.getDouble("c", 50.0); }),
+            "invalid number '5x' in c=");
+  EXPECT_EQ(Message([&] { P.getDouble("t", 1.0); }),
+            "invalid number '0.5.1' in t=");
+  // Absent words still take the default.
+  EXPECT_EQ(P.getUInt("absent", 14), 14u);
+  EXPECT_DOUBLE_EQ(P.getDouble("absent", 50.0), 50.0);
 }
 
 TEST(OptionParser, DoublesAndBools) {

@@ -326,6 +326,31 @@ TEST(TraceReject, FailureIsSticky) {
   EXPECT_EQ(R.opsRead(), 0u);
 }
 
+// An ordinal-form schedule is written to the wire with its ids as they
+// stand, and reading it back renumbers reused ids into the same schedule.
+TEST(TraceRoundTrip, ScheduleSurvivesTheWire) {
+  WorkloadFuzzer::Options FO;
+  FO.Seed = 4;
+  FO.NumOps = 2048;
+  FO.P = WorkloadFuzzer::Pattern::Mixed;
+  std::vector<MallocOp> Schedule = WorkloadFuzzer(FO).generate().Ops;
+  for (TraceFraming F : {TraceFraming::Text, TraceFraming::Binary}) {
+    std::stringstream Wire;
+    TraceRecorder Rec(Wire, F);
+    Rec.record(Schedule);
+    ASSERT_TRUE(Rec.good());
+    TraceReader R(Wire);
+    std::string Error;
+    EXPECT_EQ(materializeTrace(R, &Error), Schedule) << Error;
+  }
+  // A wire trace that reuses ids comes back in ordinal form.
+  std::istringstream IS("pcbtrace 1 text\na 5 4\nf 5\na 5 2\nf 5\n");
+  TraceReader R(IS);
+  std::vector<MallocOp> Want = {MallocOp::alloc(0, 4), MallocOp::release(0, 4),
+                                MallocOp::alloc(1, 2), MallocOp::release(1, 2)};
+  EXPECT_EQ(materializeTrace(R, nullptr), Want);
+}
+
 TEST(TraceReject, MaterializeSurfacesReaderError) {
   std::istringstream IS("pcbtrace 1 text\na 1 4\nf 9\n");
   TraceReader R(IS);
@@ -345,7 +370,7 @@ TEST(TraceStreaming, MillionOpStreamMatchesMaterializedReplay) {
   FO.Seed = 9;
   FO.NumOps = uint64_t(1) << 20;
   FO.P = WorkloadFuzzer::Pattern::QueueFifo;
-  std::vector<TraceOp> Schedule = WorkloadFuzzer(FO).generate().materialize();
+  std::vector<MallocOp> Schedule = WorkloadFuzzer(FO).generate().Ops;
   std::ostringstream Wire;
   TraceRecorder Rec(Wire, TraceFraming::Binary);
   Rec.record(Schedule);
@@ -363,7 +388,7 @@ TEST(TraceStreaming, MillionOpStreamMatchesMaterializedReplay) {
   // Materialized side: the whole schedule in memory, no gate at all.
   Heap H;
   std::unique_ptr<MemoryManager> MM = createManager("first-fit", H, 50.0);
-  TraceReplayProgram P(Schedule);
+  StreamingTraceProgram P(Schedule);
   Execution::Options EO;
   EO.MaxSteps = UINT64_MAX;
   Execution E(*MM, P, uint64_t(1) << 62, EO);
@@ -394,7 +419,7 @@ TEST(TraceStreaming, GatedRunWithFixedControllerIsByteIdentical) {
   FO.Seed = 3;
   FO.NumOps = 4096;
   FO.P = WorkloadFuzzer::Pattern::Comb;
-  std::vector<TraceOp> Schedule = WorkloadFuzzer(FO).generate().materialize();
+  std::vector<MallocOp> Schedule = WorkloadFuzzer(FO).generate().Ops;
   std::ostringstream Wire;
   TraceRecorder Rec(Wire, TraceFraming::Binary);
   Rec.record(Schedule);
@@ -408,7 +433,7 @@ TEST(TraceStreaming, GatedRunWithFixedControllerIsByteIdentical) {
 
   Heap H;
   std::unique_ptr<MemoryManager> MM = createManager("evacuating", H, 50.0);
-  TraceReplayProgram P(Schedule);
+  StreamingTraceProgram P(Schedule);
   Execution::Options EO;
   EO.MaxSteps = UINT64_MAX;
   Execution E(*MM, P, uint64_t(1) << 62, EO);
@@ -574,11 +599,11 @@ public:
   bool allowSpend() const override { return false; }
 };
 
-ExecutionResult replayUnder(const std::vector<TraceOp> &Schedule,
+ExecutionResult replayUnder(const std::vector<MallocOp> &Schedule,
                             BudgetController *Ctrl, uint64_t *Denials) {
   Heap H;
   std::unique_ptr<MemoryManager> MM = createManager("evacuating", H, 50.0);
-  TraceReplayProgram P(Schedule);
+  StreamingTraceProgram P(Schedule);
   Execution::Options EO;
   EO.MaxSteps = UINT64_MAX;
   Execution E(*MM, P, uint64_t(1) << 62, EO);
@@ -596,7 +621,7 @@ TEST(Controller, AttachedGateActuallyBlocksMoves) {
   FO.Seed = 3;
   FO.NumOps = 4096;
   FO.P = WorkloadFuzzer::Pattern::Comb;
-  std::vector<TraceOp> Schedule = WorkloadFuzzer(FO).generate().materialize();
+  std::vector<MallocOp> Schedule = WorkloadFuzzer(FO).generate().Ops;
 
   ExecutionResult Ungated = replayUnder(Schedule, nullptr, nullptr);
   ASSERT_GE(Ungated.NumMoves, 1u) << "schedule too tame to test the gate";
@@ -698,8 +723,8 @@ TEST(CrossPolicy, TraceBackedFuzzWindowsAreWellFormed) {
   Gen.Seed = 42;
   Gen.NumOps = 3000;
   Gen.P = WorkloadFuzzer::Pattern::Churn;
-  auto Corpus = std::make_shared<const std::vector<TraceOp>>(
-      WorkloadFuzzer(Gen).generate().materialize());
+  auto Corpus = std::make_shared<const std::vector<MallocOp>>(
+      WorkloadFuzzer(Gen).generate().Ops);
 
   WorkloadFuzzer::Options FO;
   FO.P = WorkloadFuzzer::Pattern::Trace;
@@ -712,7 +737,7 @@ TEST(CrossPolicy, TraceBackedFuzzWindowsAreWellFormed) {
     EXPECT_EQ(S.Pattern, "trace");
     EXPECT_FALSE(S.Ops.empty());
     std::string Why;
-    EXPECT_TRUE(validateTrace(S.materialize(), &Why)) << Why;
+    EXPECT_TRUE(checkSchedule(S.Ops, &Why).has_value()) << Why;
     Sizes.push_back(S.size());
   }
   // Determinism: the same seed re-generates the same window.

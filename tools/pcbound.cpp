@@ -67,7 +67,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "adversary/ProgramFactory.h"
-#include "adversary/SyntheticWorkloads.h"
 #include "adversary/WorkloadSpec.h"
 #include "bounds/BenderskyPetrankBounds.h"
 #include "bounds/CohenPetrankBounds.h"
@@ -177,18 +176,6 @@ struct ScenarioOptions {
   uint64_t M() const { return pow2(LogM); }
 };
 
-/// Reads a log2 size word over \p Default and checks that 2^value words
-/// fit the 2^60-word address space.
-unsigned parseLogWord(const OptionParser &Opts, const std::string &Name,
-                      unsigned Default) {
-  uint64_t Log = Opts.getUInt(Name, Default);
-  if (Log > 60)
-    fail(Name + "=" + std::to_string(Log) + " is out of range: 2^" + Name +
-         " words must fit the 2^60-word address space (" + Name +
-         " <= 60)");
-  return unsigned(Log);
-}
-
 /// Reads the scenario words over \p S, the calling command's defaults, and
 /// range-checks each word on its own. Rules that tie words together (the
 /// largest object, 2^logn words, must fit in M) belong to whoever uses
@@ -288,22 +275,21 @@ std::unique_ptr<Program> buildProgram(const OptionParser &Opts,
   return Prog;
 }
 
-/// Loads and materializes the malloc trace at \p Path into the
-/// ordinal-free TraceOp convention, for the consumers that hold a trace
-/// whole (fuzz corpora, fleet session classes). Sets \p PeakLiveWords to
-/// the trace's peak live volume.
-std::shared_ptr<const std::vector<TraceOp>>
+/// Loads and materializes the malloc trace at \p Path in ordinal form,
+/// for the consumers that hold a trace whole (fuzz corpora, fleet session
+/// classes). Sets \p PeakLiveWords to the trace's peak live volume.
+std::shared_ptr<const std::vector<MallocOp>>
 loadMallocTrace(const std::string &Path, uint64_t &PeakLiveWords) {
   std::ifstream IS(Path, std::ios::binary);
   if (!IS)
     fail("cannot read '" + Path + "'");
   TraceReader R(IS);
   std::string Error;
-  std::vector<TraceOp> Ops = materializeTrace(R, &Error);
+  std::vector<MallocOp> Ops = materializeTrace(R, &Error);
   if (!Error.empty())
     fail(Path + ": " + Error);
   PeakLiveWords = R.peakLiveWords();
-  return std::make_shared<const std::vector<TraceOp>>(std::move(Ops));
+  return std::make_shared<const std::vector<MallocOp>>(std::move(Ops));
 }
 
 /// M= and n= of bounds and plan (word counts, "256M" style), checked
@@ -311,7 +297,7 @@ loadMallocTrace(const std::string &Path, uint64_t &PeakLiveWords) {
 BoundParams parseBoundParams(const OptionParser &Opts, double C) {
   BoundParams P{Opts.getUInt("M", pow2(28)), Opts.getUInt("n", pow2(20)), C};
   if (!P.valid())
-    fail("need power-of-two M >= n >= 2 and c > 1");
+    fail("need power-of-two M >= n >= 2 and c > 1 (finite)");
   return P;
 }
 
@@ -341,6 +327,9 @@ int cmdPlan(const OptionParser &Opts) {
   // plan searches c itself (from 2 up), so only M and n are checked.
   BoundParams P = parseBoundParams(Opts, /*C=*/2.0);
   double Target = Opts.getDouble("target", 2.5);
+  if (!std::isfinite(Target))
+    fail("target=" + Opts.getString("target", "") +
+         " is not a finite waste factor");
   CompactionPlan Plan = planCompactionBudget(P.M, P.N, Target);
   if (!Plan.Feasible) {
     std::cout << "target waste factor " << formatDouble(Target, 2)
@@ -541,15 +530,14 @@ int cmdReplay(const OptionParser &Opts) {
                      " its allocation)");
 
   uint64_t M = S.M();
-  std::vector<TraceOp> Trace = Log.toTrace();
-  uint64_t Peak = tracePeakLiveWords(Trace);
-  if (Peak > M)
-    fail(TracePath + ": peak live words " + std::to_string(Peak) +
+  if (Audit.PeakLiveWords > M)
+    fail(TracePath + ": peak live words " +
+         std::to_string(Audit.PeakLiveWords) +
          " exceed M = 2^" + std::to_string(S.LogM) + " = " +
          std::to_string(M) + "; raise logm=");
   Heap H;
   auto MM = buildManager(S.Policy, H, S.C, /*LiveBound=*/M);
-  TraceReplayProgram Prog(std::move(Trace));
+  StreamingTraceProgram Prog(Log.toSchedule());
   Execution E(*MM, Prog, M);
   ExecutionResult R = E.run();
   std::cout << "replayed through " << MM->name() << ": HS " << R.HeapSize
@@ -677,7 +665,7 @@ int cmdFuzz(const OptionParser &Opts) {
 
   // trace=FILE fuzzes seeded windows of a recorded malloc trace instead
   // of cycling the synthetic patterns.
-  std::shared_ptr<const std::vector<TraceOp>> FuzzTrace;
+  std::shared_ptr<const std::vector<MallocOp>> FuzzTrace;
   std::string FuzzTracePath = Opts.getString("trace", "");
   if (!FuzzTracePath.empty()) {
     uint64_t TracePeak = 0;
@@ -848,9 +836,9 @@ int cmdReplayTrace(const OptionParser &Opts) {
     ++NumProblems;
   }
 
-  std::vector<TraceOp> Trace = Log.toTrace();
+  FuzzSchedule Schedule{0, "replay", Log.toSchedule()};
   std::string Why;
-  if (!validateTrace(Trace, &Why)) {
+  if (!checkSchedule(Schedule.Ops, &Why)) {
     std::cout << "replay: trace is not replayable (" << Why << ")\n"
               << "replay-trace: FAIL\n";
     return 1;
@@ -859,8 +847,7 @@ int cmdReplayTrace(const OptionParser &Opts) {
   HO.Policies = {S.Policy};
   HO.C = S.C;
   HO.ReplayCheckPolicy = S.Policy;
-  DifferentialReport Rep =
-      DifferentialHarness(HO).run(scheduleFromTrace(Trace, 0, "replay"));
+  DifferentialReport Rep = DifferentialHarness(HO).run(Schedule);
   for (const Violation &V : Rep.allViolations()) {
     std::cout << "violation: " << V.describe() << "\n";
     ++NumProblems;
@@ -894,7 +881,7 @@ int cmdTraceRecord(const OptionParser &Opts) {
   Heap H;
   std::unique_ptr<MemoryManager> MM;
   std::unique_ptr<Program> Prog;
-  std::vector<TraceOp> Schedule;
+  std::vector<MallocOp> Schedule;
   std::string Source;
   if (!S.Program.empty()) {
     // A live program run, recorded off the heap's event stream. The
@@ -936,7 +923,7 @@ int cmdTraceRecord(const OptionParser &Opts) {
     FO.NumOps = Shape.TargetOps;
     FO.LiveBound = Shape.LiveBound;
     FO.MaxLogSize = Shape.MaxLogSize;
-    Schedule = WorkloadFuzzer(FO).generate().materialize();
+    Schedule = WorkloadFuzzer(FO).generate().Ops;
   }
 
   std::ofstream OS(OutPath, std::ios::binary);
