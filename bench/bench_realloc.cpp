@@ -28,7 +28,6 @@
 #include "driver/Execution.h"
 #include "mm/ManagerFactory.h"
 #include "obs/Profiler.h"
-#include "realloc/ReallocationLedger.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -78,7 +77,7 @@ CellOutcome runCell(const std::string &ProgName, const std::string &Policy,
   Out.Exec = E.run();
   Out.Overhead = Out.Exec.overheadRatio();
   Out.Bound = MM->overheadBound();
-  if (const ReallocationLedger *RL = MM->reallocationLedger())
+  if (const CompactionLedger *RL = MM->reallocationLedger())
     Out.WorstPrefix = RL->maxPrefixRatio();
   return Out;
 }

@@ -276,9 +276,10 @@ FuzzSchedule DifferentialHarness::shrink(
 
 void DifferentialHarness::writeReproducer(std::ostream &OS,
                                           const FuzzSchedule &S,
-                                          const PolicyRunResult &Failing) {
-  OS << "# pcbound-fuzz-repro policy=" << Failing.Policy
-     << " c=" << Failing.QuotaC << " seed=" << S.Seed
+                                          const PolicyRunResult &Failing,
+                                          double C) {
+  OS << "# pcbound-fuzz-repro policy=" << Failing.Policy << " c=" << C
+     << " seed=" << S.Seed
      << " pattern=" << (S.Pattern.empty() ? "unknown" : S.Pattern)
      << " ops=" << S.Ops.size() << "\n";
   for (const Violation &V : Failing.Violations)

@@ -48,8 +48,8 @@ class Execution;
 /// Outcome of one policy's execution of a schedule.
 struct PolicyRunResult {
   std::string Policy;
-  /// The effective compaction quota denominator (policies such as
-  /// sliding-unlimited override the harness-wide C).
+  /// The effective compaction quota denominator (sliding-unlimited and
+  /// the reallocation family override the harness-wide C).
   double QuotaC = 0.0;
   HeapStats Stats;
   EventLog Log;
@@ -128,12 +128,15 @@ public:
   /// shrink() with the default predicate !run(S).clean().
   FuzzSchedule shrink(const FuzzSchedule &S) const;
 
-  /// Serializes \p Failing (a run produced by run() on \p S) as a
-  /// replayable reproducer: a `# pcbound-fuzz-repro` header naming the
-  /// policy, quota, seed and pattern, followed by the recorded event
-  /// trace in TraceIO format.
+  /// Serializes \p Failing (a run produced by run() on \p S at the quota
+  /// \p C the run was asked for) as a replayable reproducer: a
+  /// `# pcbound-fuzz-repro` header naming the policy, quota, seed and
+  /// pattern, followed by the recorded event trace in TraceIO format.
+  /// The header carries \p C, not the manager's own quota: replay-trace
+  /// rebuilds the policy from it, and the reallocation family's c (up to
+  /// +infinity) is fixed by its scheme.
   static void writeReproducer(std::ostream &OS, const FuzzSchedule &S,
-                              const PolicyRunResult &Failing);
+                              const PolicyRunResult &Failing, double C);
 
 private:
   PolicyRunResult runPolicy(const std::string &Policy,

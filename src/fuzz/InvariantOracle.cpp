@@ -8,9 +8,6 @@
 #include "fuzz/InvariantOracle.h"
 
 #include "driver/Auditors.h"
-#include "realloc/ReallocationLedger.h"
-
-#include <cmath>
 
 using namespace pcb;
 
@@ -51,19 +48,6 @@ size_t InvariantOracle::checkCheap(uint64_t Step,
                        "moved " + std::to_string(S.MovedWords) +
                            " words against a budget of " +
                            std::to_string(MM.ledger().budgetWords())));
-  // The family-agnostic overhead invariant: cumulative moved words stay
-  // within the manager's declared multiple of cumulative allocated
-  // words (1/c for c-partial managers, the paper bound for the
-  // reallocation family, 0 for never-move baselines).
-  double Bound = MM.overheadBound();
-  if (std::isfinite(Bound) &&
-      double(S.MovedWords) > Bound * double(S.TotalAllocatedWords) + 1e-9)
-    Out.push_back(make("overhead-ratio", Step,
-                       "moved " + std::to_string(S.MovedWords) +
-                           " words against " +
-                           std::to_string(S.TotalAllocatedWords) +
-                           " allocated at declared bound " +
-                           std::to_string(Bound)));
   return Out.size() - Before;
 }
 
@@ -120,27 +104,5 @@ size_t InvariantOracle::checkDeep(uint64_t Step,
     Out.push_back(make("budget-history", Step,
                        "a prefix of the execution moved more than "
                        "allocated/c words"));
-
-  // End-to-end ledger reconciliation for the reallocation family: the
-  // ledger keeps its own counters, so cumulative heap statistics are an
-  // independent witness — a manager that moves behind its ledger's back
-  // (or forgets to note volume) diverges here even if every per-step
-  // ratio looks fine.
-  if (const ReallocationLedger *RL = MM.reallocationLedger()) {
-    if (RL->movedWords() != S.MovedWords ||
-        RL->allocatedWords() != S.TotalAllocatedWords)
-      Out.push_back(make(
-          "ledger-reconcile", Step,
-          "ledger moved=" + std::to_string(RL->movedWords()) + " allocated=" +
-              std::to_string(RL->allocatedWords()) + " vs heap moved=" +
-              std::to_string(S.MovedWords) + " allocated=" +
-              std::to_string(S.TotalAllocatedWords)));
-    if (!RL->holds())
-      Out.push_back(make("overhead-history", Step,
-                         "a prefix reached overhead ratio " +
-                             std::to_string(RL->maxPrefixRatio()) +
-                             " above the declared bound " +
-                             std::to_string(RL->bound())));
-  }
   return Out.size() - Before;
 }

@@ -15,22 +15,18 @@
 /// Checked after every step (cheap, O(1)):
 ///   * footprint >= live words (the heap never under-reports its size),
 ///   * the footprint (high-water mark) never shrinks,
-///   * the c-partial ledger holds at the endpoint,
-///   * overhead-ratio — cumulative moved words stay within the
-///     manager's declared overheadBound() multiple of allocated words
-///     (finite for c-partial managers and the reallocation family).
+///   * budget-endpoint — the c-partial ledger holds at the endpoint: at
+///     most allocated/c words moved (c = 1/bound for the reallocation
+///     family, so the family's overhead bound is checked here too).
 ///
 /// Checked every DeepCheckEvery steps and at the end (O(objects+events)):
 ///   * Heap::checkConsistency — live objects disjoint, free index the
 ///     exact complement, statistics match a recount,
 ///   * auditEvents over the recorded event stream reproduces the heap's
 ///     statistics exactly (the independent-witness property),
-///   * auditBudgetHistory — the c-partial constraint held on *every*
-///     prefix of the execution, not merely at the end,
-///   * ledger-reconcile / overhead-history — for reallocation managers,
-///     the ReallocationLedger's own counters must equal the heap's
-///     cumulative move/allocation statistics end-to-end, and its
-///     worst-prefix ratio must respect the bound.
+///   * budget-history — auditBudgetHistory over the recorded events:
+///     the c-partial constraint held on *every* prefix of the execution,
+///     not merely at the end.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -14,6 +14,11 @@
 /// that would breach it, and the execution driver re-validates it as an
 /// invariant after every step.
 ///
+/// It is also the reallocation family's budget (DESIGN.md §17): Jin and
+/// Bender et al. bound moved / allocated words by beta on every prefix,
+/// which for integer word counts is the same constraint with c = 1/beta.
+/// A never-moving scheme has c = +infinity, whose budget is 0 words.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_MM_COMPACTIONLEDGER_H
@@ -21,6 +26,7 @@
 
 #include "heap/Heap.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -63,9 +69,24 @@ public:
     return isUnlimited() || H.stats().MovedWords <= budgetWords();
   }
 
+  /// Folds the prefix ending at a just-committed move into the worst
+  /// moved / allocated ratio. Only moves raise the ratio, so calling this
+  /// once per committed move covers every prefix.
+  void noteMove() {
+    const HeapStats &S = H.stats();
+    if (S.TotalAllocatedWords != 0)
+      MaxPrefix = std::max(MaxPrefix, double(S.MovedWords) /
+                                          double(S.TotalAllocatedWords));
+  }
+
+  /// The worst moved / allocated ratio over every prefix so far (sticky):
+  /// the quantity the reallocation papers bound.
+  double maxPrefixRatio() const { return MaxPrefix; }
+
 private:
   const Heap &H;
   double C;
+  double MaxPrefix = 0.0;
 };
 
 } // namespace pcb

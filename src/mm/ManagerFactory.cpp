@@ -58,9 +58,9 @@ std::unique_ptr<MemoryManager> pcb::createManager(const std::string &Policy,
     return LiveBound == 0
                ? nullptr
                : std::make_unique<BumpCompactor>(H, C, LiveBound);
-  // The reallocation family (DESIGN.md §17). These ignore C: their
-  // budget is the overhead bound in the ReallocationLedger, not a
-  // c-partial quota.
+  // The reallocation family (DESIGN.md §17). These ignore C: each is
+  // c-partial with c = 1/bound fixed by its scheme (1 for the bucket
+  // backfill, 1/2 for Jin's repacker, +infinity for never-move).
   if (Policy == "realloc-never")
     return std::make_unique<NeverMoveAllocator>(H);
   if (Policy == "realloc-bucket")

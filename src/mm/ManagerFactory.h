@@ -29,8 +29,8 @@ namespace pcb {
 /// "sliding-unlimited" (ignores C; the non-c-partial ideal),
 /// "bump-compactor" (requires \p LiveBound, the program's M — its
 /// compaction period is c * LiveBound), and the reallocation family
-/// "realloc-never", "realloc-bucket", "realloc-jin" (ignore C; budgeted
-/// by their ReallocationLedger overhead bound instead).
+/// "realloc-never", "realloc-bucket", "realloc-jin" (ignore C; their c is
+/// 1/bound of their scheme: +infinity, 1 and 1/2).
 std::unique_ptr<MemoryManager> createManager(const std::string &Policy,
                                              Heap &H, double C,
                                              uint64_t LiveBound = 0);

@@ -54,6 +54,7 @@ bool MemoryManager::tryMoveObject(ObjectId Id, Addr To) {
   // subclass drop and re-add it around the heap-level move.
   onFreeing(Id);
   TheHeap.move(Id, To);
+  Ledger.noteMove();
   onPlaced(Id);
   if (OnMove && OnMove(Id, From, To)) {
     // The program chose to de-allocate the moved object immediately.

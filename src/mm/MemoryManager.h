@@ -26,8 +26,6 @@
 
 namespace pcb {
 
-class ReallocationLedger;
-
 /// Base class for all memory managers. Subclasses implement the placement
 /// policy in placeFor() and may use tryMoveObject() to compact.
 class MemoryManager {
@@ -74,21 +72,20 @@ public:
   const Heap &heap() const { return TheHeap; }
   const CompactionLedger &ledger() const { return Ledger; }
 
-  /// The reallocation-family ledger when this manager maintains one
-  /// (realloc/ReallocManager.h); null for the compaction family. The
-  /// fuzzer's oracle uses it to reconcile ledger spend against the
-  /// heap's cumulative move statistics end-to-end.
-  virtual const ReallocationLedger *reallocationLedger() const {
+  /// The ledger again when this manager belongs to the reallocation
+  /// family (realloc/ReallocManager.h), null for the compaction family:
+  /// reports print the family's overhead-ratio score line only when it
+  /// is set.
+  virtual const CompactionLedger *reallocationLedger() const {
     return nullptr;
   }
 
-  /// The manager's declared overhead bound: on every prefix of an
-  /// execution, cumulative moved words stay at or below this multiple
-  /// of cumulative allocated words. For c-partial managers that is 1/c
-  /// (each move of s words is funded by c*s freshly allocated words);
-  /// unlimited baselines return infinity; reallocation managers
-  /// override this with the bound of their paper scheme.
-  virtual double overheadBound() const;
+  /// The manager's overhead bound: on every prefix of an execution,
+  /// cumulative moved words stay at or below this multiple of cumulative
+  /// allocated words. That is 1/c, since each move of s words is funded
+  /// by c*s freshly allocated words; unlimited baselines return infinity
+  /// and a never-moving manager (c = +infinity) returns 0.
+  double overheadBound() const;
 
 protected:
   /// Policy hook: returns the address at which to place \p Size words.

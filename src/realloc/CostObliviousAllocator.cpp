@@ -10,7 +10,6 @@
 #include "obs/Profiler.h"
 
 #include <cassert>
-#include <optional>
 
 using namespace pcb;
 
@@ -19,7 +18,6 @@ Addr CostObliviousAllocator::placeFor(uint64_t Size) {
 }
 
 void CostObliviousAllocator::onPlaced(ObjectId Id) {
-  ReallocManager::onPlaced(Id);
   const Object &O = heap().object(Id);
   Classes[O.Size][O.Address] = Id;
 }
@@ -34,17 +32,23 @@ void CostObliviousAllocator::onFreeing(ObjectId Id) {
 }
 
 void CostObliviousAllocator::onFreed(ObjectId, Addr From, uint64_t Size) {
-  // A program that frees moved objects (PF) re-enters here from inside
-  // reallocMove; only the outermost frame times the cascade, or the
-  // nested ScopedTimers would each re-count the whole remainder.
-  struct DepthGuard {
-    unsigned &D;
-    explicit DepthGuard(unsigned &D) : D(D) { ++D; }
-    ~DepthGuard() { --D; }
-  } Guard(CascadeDepth);
-  std::optional<ScopedTimer> Timer;
-  if (CascadeDepth == 1)
-    Timer.emplace(Profiler::SecRealloc);
+  Holes.emplace_back(From, Size);
+  // A free from inside a backfill (the program's reaction to the move)
+  // only queues its hole: the outermost frame drains the queue and owns
+  // the one mm.realloc timer.
+  if (Draining)
+    return;
+  Draining = true;
+  ScopedTimer Timer(Profiler::SecRealloc);
+  while (!Holes.empty()) {
+    auto [Hole, HoleSize] = Holes.back();
+    Holes.pop_back();
+    backfill(Hole, HoleSize);
+  }
+  Draining = false;
+}
+
+void CostObliviousAllocator::backfill(Addr From, uint64_t Size) {
   auto It = Classes.find(Size);
   if (It == Classes.end())
     return;
@@ -58,6 +62,6 @@ void CostObliviousAllocator::onFreed(ObjectId, Addr From, uint64_t Size) {
   Profiler::bump(Profiler::CtrReallocPasses);
   // Perfect fit and no overlap: the mover has the hole's exact size and
   // a strictly higher address, so its range starts at or past From+Size.
-  if (reallocMove(Last->second, From))
+  if (tryMoveObject(Last->second, From))
     ++NumBackfills;
 }

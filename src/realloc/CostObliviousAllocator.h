@@ -29,6 +29,8 @@
 #include "realloc/ReallocManager.h"
 
 #include <map>
+#include <utility>
+#include <vector>
 
 namespace pcb {
 
@@ -49,15 +51,20 @@ protected:
   void onFreed(ObjectId Id, Addr From, uint64_t Size) override;
 
 private:
+  void backfill(Addr From, uint64_t Size);
+
   // Exact-size classes, each ordered by address. Exactness is what
   // makes backfill a perfect fit; power-of-two rounding (as in the
   // paper's bucket hierarchy) would let a larger class-mate fail to fit
   // the hole.
   std::map<uint64_t, std::map<Addr, ObjectId>> Classes;
   uint64_t NumBackfills = 0;
-  // Re-entry depth of onFreed (PF cascades); only the outermost frame
-  // owns the mm.realloc profiler section.
-  unsigned CascadeDepth = 0;
+  // Holes still to backfill, as (address, size). A program that frees
+  // moved objects (PF) opens a new hole from inside each backfill; the
+  // outermost onFreed drains them in a loop, so a cascade of any length
+  // runs in constant stack depth.
+  std::vector<std::pair<Addr, uint64_t>> Holes;
+  bool Draining = false;
 };
 
 } // namespace pcb

@@ -24,13 +24,9 @@ namespace pcb {
 class NeverMoveAllocator : public ReallocManager {
 public:
   explicit NeverMoveAllocator(Heap &H)
-      : ReallocManager(H, /*OverheadBound=*/-1.0) {}
+      : ReallocManager(H, /*OverheadBound=*/0.0) {}
 
   std::string name() const override { return "realloc-never"; }
-
-  // The ledger is unlimited (nothing ever charges it), but the declared
-  // bound is exact: zero moved words per allocated word.
-  double overheadBound() const override { return 0.0; }
 
 protected:
   Addr placeFor(uint64_t Size) override {

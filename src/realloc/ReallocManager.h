@@ -9,12 +9,12 @@
 /// Base class for the reallocation problem family (DESIGN.md §17). A
 /// reallocation manager plays the sibling game to c-partial compaction:
 /// it may move objects whenever it likes, but its score is the overhead
-/// ratio — cumulative words moved per word allocated — which its
-/// declared bound must dominate on every prefix. The base class routes
-/// every move through a ReallocationLedger so the bound is *enforced*,
-/// not merely claimed: an algorithm whose amortization argument is
-/// wrong has its moves denied rather than silently exceeding the bound,
-/// and the fuzzer's overhead-history invariant stays a theorem.
+/// ratio — cumulative words moved per word allocated — which its scheme's
+/// bound must dominate on every prefix. That is the c-partial constraint
+/// with c = 1/bound, so the base class only maps the bound to c: every
+/// move goes through the same tryMoveObject gate and ledger as the
+/// compaction family's, and an algorithm whose amortization argument is
+/// wrong has its moves denied rather than silently exceeding the bound.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,56 +22,24 @@
 #define PCBOUND_REALLOC_REALLOCMANAGER_H
 
 #include "mm/MemoryManager.h"
-#include "realloc/ReallocationLedger.h"
+
+#include <limits>
 
 namespace pcb {
 
 class ReallocManager : public MemoryManager {
 public:
-  /// \p OverheadBound is the scheme's declared bound; <= 0 means
-  /// unlimited. The compaction ledger is constructed unlimited (C = 0):
-  /// this family's budget lives in the reallocation ledger instead.
+  /// \p OverheadBound is the scheme's bound; 0 (never move) gives
+  /// c = +infinity, a budget of 0 words.
   ReallocManager(Heap &H, double OverheadBound)
-      : MemoryManager(H, /*C=*/0.0), RLedger(OverheadBound) {}
+      : MemoryManager(H, OverheadBound > 0.0
+                             ? 1.0 / OverheadBound
+                             : std::numeric_limits<double>::infinity()) {}
 
-  const ReallocationLedger *reallocationLedger() const override {
-    return &RLedger;
+  /// Marks the family: reports print its overhead-ratio score line.
+  const CompactionLedger *reallocationLedger() const override {
+    return &ledger();
   }
-
-  double overheadBound() const override { return RLedger.bound(); }
-
-protected:
-  /// Subclass overrides must call through so allocation volume is noted
-  /// exactly once per placement (moves re-enter onPlaced but are not
-  /// fresh volume, so they are excluded here).
-  void onPlaced(ObjectId Id) override {
-    if (!InMove)
-      RLedger.noteAllocation(heap().object(Id).Size);
-  }
-
-  /// The family's move primitive: moves \p Id to \p To iff the ledger's
-  /// bound covers the charge (and any installed spend gate approves,
-  /// via the base tryMoveObject). Returns false with no state change
-  /// otherwise, so a scheme throttled by a budget controller degrades
-  /// to fewer moves instead of a violated bound.
-  bool reallocMove(ObjectId Id, Addr To) {
-    uint64_t Size = heap().object(Id).Size;
-    if (!RLedger.canCharge(Size))
-      return false;
-    bool WasInMove = InMove;
-    InMove = true;
-    bool Moved = tryMoveObject(Id, To);
-    InMove = WasInMove;
-    if (Moved)
-      RLedger.chargeMove(Size);
-    return Moved;
-  }
-
-private:
-  ReallocationLedger RLedger;
-  // True while a reallocMove is in flight: distinguishes the
-  // re-placement half of a move from a fresh allocation in onPlaced.
-  bool InMove = false;
 };
 
 } // namespace pcb

@@ -1,4 +1,4 @@
-//===- realloc/ReallocationLedger.h - Overhead accounting -------*- C++ -*-===//
+//===- realloc/ReallocationLedger.h - The old ledger name -------*- C++ -*-===//
 //
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
@@ -6,85 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The reallocation family's cost ledger. Where CompactionLedger meters
-/// moves against a per-call quota of the live size (the c-partial
-/// budget), this ledger meters them against the *cumulative allocation
-/// volume*: the cost measure of Jin ("Memory Reallocation with
-/// Polylogarithmic Overhead") and Bender et al. ("Cost-Oblivious
-/// Storage Reallocation") is total words moved per word allocated, on
-/// every prefix of the update sequence. The ledger keeps its own
-/// counters rather than deriving them from HeapStats so the fuzzer's
-/// ledger-reconcile invariant has an independent witness to check the
-/// heap's move accounting against.
+/// The reallocation family is budgeted by the one c-partial ledger, with
+/// c = 1/bound (DESIGN.md §17). This name is kept only because the
+/// benchmark harness under perfbench/ still spells it; new code uses
+/// CompactionLedger.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PCBOUND_REALLOC_REALLOCATIONLEDGER_H
 #define PCBOUND_REALLOC_REALLOCATIONLEDGER_H
 
-#include <algorithm>
-#include <cstdint>
-#include <limits>
+#include "mm/CompactionLedger.h"
 
 namespace pcb {
 
-class ReallocationLedger {
-public:
-  /// \p Bound is the declared overhead bound: on every prefix, moved
-  /// words stay at or below Bound * allocated words. Bound <= 0 means
-  /// unlimited (no enforcement, ratios still tracked).
-  explicit ReallocationLedger(double Bound) : Bound(Bound) {}
-
-  bool isUnlimited() const { return Bound <= 0.0; }
-  double bound() const {
-    return isUnlimited() ? std::numeric_limits<double>::infinity() : Bound;
-  }
-
-  uint64_t allocatedWords() const { return AllocVolume; }
-  uint64_t movedWords() const { return MoveCost; }
-
-  /// Records \p Words of fresh allocation volume (placements only, not
-  /// the re-placement half of a move).
-  void noteAllocation(uint64_t Words) { AllocVolume += Words; }
-
-  /// True when a move of \p Words would keep the prefix within the
-  /// bound. Like CompactionLedger::canMove this is all-or-nothing.
-  bool canCharge(uint64_t Words) const {
-    if (isUnlimited())
-      return true;
-    return double(MoveCost + Words) <= Bound * double(AllocVolume) + Slack;
-  }
-
-  /// Charges a committed move of \p Words and folds the new prefix into
-  /// the running worst-prefix ratio.
-  void chargeMove(uint64_t Words) {
-    MoveCost += Words;
-    MaxPrefix = std::max(MaxPrefix, overheadRatio());
-  }
-
-  /// Moved words per allocated word on the prefix seen so far (0 before
-  /// the first allocation).
-  double overheadRatio() const {
-    return AllocVolume == 0 ? 0.0 : double(MoveCost) / double(AllocVolume);
-  }
-
-  /// The worst overhead ratio over every prefix at which a move
-  /// committed — the quantity the papers bound.
-  double maxPrefixRatio() const { return MaxPrefix; }
-
-  /// True when every prefix so far respected the bound.
-  bool holds() const { return isUnlimited() || MaxPrefix <= Bound + Slack; }
-
-private:
-  // Absorbs floating-point rounding at exact-equality boundaries; the
-  // counters themselves are exact integers.
-  static constexpr double Slack = 1e-9;
-
-  double Bound;
-  uint64_t AllocVolume = 0;
-  uint64_t MoveCost = 0;
-  double MaxPrefix = 0.0;
-};
+using ReallocationLedger = CompactionLedger;
 
 } // namespace pcb
 

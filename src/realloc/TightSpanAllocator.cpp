@@ -18,7 +18,6 @@ Addr TightSpanAllocator::placeFor(uint64_t Size) {
 }
 
 void TightSpanAllocator::onPlaced(ObjectId Id) {
-  ReallocManager::onPlaced(Id);
   const Object &O = heap().object(Id);
   Top = std::max(Top, O.Address + O.Size);
 }
@@ -70,7 +69,7 @@ uint64_t TightSpanAllocator::rebuildPass() {
     Addr After = O.Address + 1;
     if (O.Address != Target) {
       assert(Target < O.Address && "repacking would move an object upward");
-      if (!reallocMove(Id, Target)) {
+      if (!tryMoveObject(Id, Target)) {
         Complete = false;
         break;
       }

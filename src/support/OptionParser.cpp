@@ -87,13 +87,21 @@ uint64_t OptionParser::getUInt(const std::string &Name,
   return Out;
 }
 
+bool OptionParser::parseNumber(const std::string &Text, double &Out) {
+  char *End = nullptr;
+  double Value = std::strtod(Text.c_str(), &End);
+  if (Text.empty() || !End || *End != '\0')
+    return false;
+  Out = Value;
+  return true;
+}
+
 double OptionParser::getDouble(const std::string &Name, double Default) const {
   auto It = Options.find(Name);
   if (It == Options.end())
     return Default;
-  char *End = nullptr;
-  double Value = std::strtod(It->second.c_str(), &End);
-  if (It->second.empty() || !End || *End != '\0')
+  double Value;
+  if (!parseNumber(It->second, Value))
     throw std::invalid_argument("invalid number '" + It->second + "' in " +
                                 Name + "=");
   return Value;

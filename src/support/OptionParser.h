@@ -53,6 +53,10 @@ public:
   /// Parses "256M" style word counts; returns false on malformed input.
   static bool parseWordCount(const std::string &Text, uint64_t &Out);
 
+  /// Parses a whole word as a double (what getDouble accepts); returns
+  /// false on malformed input.
+  static bool parseNumber(const std::string &Text, double &Out);
+
 private:
   std::map<std::string, std::string> Options;
   std::vector<std::string> Positional;

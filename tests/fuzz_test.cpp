@@ -388,7 +388,8 @@ TEST(PlantedBug, ShrinksToAFewOpsAndWritesAReplayableReproducer) {
   ASSERT_NE(Failing, nullptr);
 
   std::stringstream Repro;
-  DifferentialHarness::writeReproducer(Repro, Minimal, *Failing);
+  DifferentialHarness::writeReproducer(Repro, Minimal, *Failing,
+                                       Harness.options().C);
   std::string Text = Repro.str();
   EXPECT_NE(Text.find("# pcbound-fuzz-repro"), std::string::npos);
   EXPECT_NE(Text.find("policy=first-fit"), std::string::npos);
@@ -406,7 +407,8 @@ TEST(PlantedBug, ShrinksToAFewOpsAndWritesAReplayableReproducer) {
   if (const char *Dir = std::getenv("PCB_REGEN_GOLDEN")) {
     std::ofstream OS(std::string(Dir) + "/planted-free-corruption.trace");
     ASSERT_TRUE(OS.good());
-    DifferentialHarness::writeReproducer(OS, Minimal, *Failing);
+    DifferentialHarness::writeReproducer(OS, Minimal, *Failing,
+                                         Harness.options().C);
   }
 }
 
@@ -476,7 +478,7 @@ TEST(GoldenChunkMerge, CraftedScheduleMeshesCleanly) {
     ASSERT_NE(Meshing, nullptr);
     std::ofstream OS(std::string(Dir) + "/chunk-merge-meshing.trace");
     ASSERT_TRUE(OS.good());
-    DifferentialHarness::writeReproducer(OS, S, *Meshing);
+    DifferentialHarness::writeReproducer(OS, S, *Meshing, O.C);
   }
 }
 

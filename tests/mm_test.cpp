@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace pcb;
 
 namespace {
@@ -53,6 +55,58 @@ TEST(CompactionLedger, UnlimitedMode) {
   CompactionLedger L(H, 0.0);
   EXPECT_TRUE(L.isUnlimited());
   EXPECT_TRUE(L.canMove(UINT64_MAX / 2));
+  EXPECT_TRUE(L.holds());
+}
+
+// The reallocation family's budget is this ledger at c = 1/bound: the
+// boundary is exact at c = 1 (realloc-bucket) and c = 1/2 (realloc-jin).
+TEST(CompactionLedger, BoundaryIsExactAtReallocQuotas) {
+  Heap H;
+  CompactionLedger One(H, 1.0), Half(H, 0.5);
+  ObjectId A = H.place(0, 10);
+  EXPECT_TRUE(One.canMove(10));   // exactly at moved = allocated: allowed
+  EXPECT_FALSE(One.canMove(11));  // one word over: denied
+  EXPECT_TRUE(Half.canMove(20));  // moved = 2 x allocated
+  EXPECT_FALSE(Half.canMove(21));
+  H.move(A, 16);
+  EXPECT_FALSE(One.canMove(1));   // c = 1 exhausted until fresh volume
+  EXPECT_TRUE(Half.canMove(10));
+  EXPECT_FALSE(Half.canMove(11));
+  H.place(32, 1);
+  EXPECT_TRUE(One.canMove(1));
+  EXPECT_TRUE(One.holds());
+  EXPECT_TRUE(Half.holds());
+}
+
+// c = +infinity is the never-move scheme: a budget of 0 words, never
+// unlimited, and an overhead bound of 1/c = 0.
+TEST(CompactionLedger, InfiniteQuotaDeniesEveryMove) {
+  Heap H;
+  CompactionLedger L(H, std::numeric_limits<double>::infinity());
+  H.place(0, 1u << 20);
+  EXPECT_FALSE(L.isUnlimited());
+  EXPECT_EQ(L.budgetWords(), 0u);
+  EXPECT_FALSE(L.canMove(1));
+  EXPECT_TRUE(L.holds());
+  Heap Fresh;
+  FirstFitManager MM(Fresh, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(MM.overheadBound(), 0.0);
+}
+
+// The worst moved / allocated prefix, folded in once per committed move,
+// survives later allocation volume that pulls the current ratio down.
+TEST(CompactionLedger, WorstPrefixIsSticky) {
+  Heap H;
+  CompactionLedger L(H, 0.5);
+  EXPECT_EQ(L.maxPrefixRatio(), 0.0); // nothing moved yet
+  ObjectId A = H.place(0, 4);
+  H.move(A, 4);
+  L.noteMove(); // prefix ratio 4/4
+  H.move(A, 8);
+  L.noteMove(); // prefix ratio 8/4
+  EXPECT_DOUBLE_EQ(L.maxPrefixRatio(), 2.0);
+  H.place(64, 100); // the current ratio collapses to 8/104...
+  EXPECT_DOUBLE_EQ(L.maxPrefixRatio(), 2.0); // ...the worst prefix stays
   EXPECT_TRUE(L.holds());
 }
 

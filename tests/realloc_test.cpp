@@ -11,11 +11,12 @@
 //      enough to verify on paper.
 //   2. Randomized gauntlets: thousands of insert/delete ops per seed,
 //      with each algorithm's worst-prefix overhead held to its paper
-//      bound and its ledger reconciled against the heap's statistics.
-//   3. Oracle regressions: managers built to lie (a bound their moves
-//      exceed, a move their ledger never saw, a history that breached
-//      the bound) ARE caught by the named fuzzer invariants, and the
-//      committed worst-overhead reproducer keeps reproducing.
+//      bound.
+//   3. One budget: the family is c-partial with c = 1/bound, so a
+//      backfill cascade is stopped at the budget however deep it nests,
+//      moves that bypass the budget's gate (at the endpoint or on an
+//      earlier prefix) ARE caught by the named fuzzer invariants, and
+//      the committed worst-overhead reproducer keeps reproducing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +28,6 @@
 #include "realloc/CostObliviousAllocator.h"
 #include "realloc/NeverMoveAllocator.h"
 #include "realloc/ReallocManager.h"
-#include "realloc/ReallocationLedger.h"
 #include "realloc/TightSpanAllocator.h"
 #include "realloc/UpdateProgram.h"
 #include "trace/TraceRun.h"
@@ -39,70 +39,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
 using namespace pcb;
 
 namespace {
-
-// --- ReallocationLedger ----------------------------------------------------
-
-TEST(ReallocationLedger, HandComputedRatios) {
-  ReallocationLedger L(1.0);
-  EXPECT_EQ(L.overheadRatio(), 0.0); // no volume yet
-  L.noteAllocation(10);
-  EXPECT_EQ(L.allocatedWords(), 10u);
-  L.chargeMove(5);
-  EXPECT_EQ(L.movedWords(), 5u);
-  EXPECT_DOUBLE_EQ(L.overheadRatio(), 0.5);
-  L.noteAllocation(10);
-  EXPECT_DOUBLE_EQ(L.overheadRatio(), 0.25);
-  L.chargeMove(15);
-  EXPECT_DOUBLE_EQ(L.overheadRatio(), 1.0);
-  EXPECT_TRUE(L.holds());
-}
-
-TEST(ReallocationLedger, WorstPrefixIsSticky) {
-  ReallocationLedger L(2.0);
-  L.noteAllocation(4);
-  L.chargeMove(8); // prefix ratio 2.0
-  EXPECT_DOUBLE_EQ(L.maxPrefixRatio(), 2.0);
-  L.noteAllocation(100); // current ratio collapses to 8/104...
-  EXPECT_LT(L.overheadRatio(), 0.1);
-  EXPECT_DOUBLE_EQ(L.maxPrefixRatio(), 2.0); // ...the worst prefix remains
-  EXPECT_TRUE(L.holds());
-}
-
-TEST(ReallocationLedger, UnlimitedMode) {
-  ReallocationLedger L(-1.0);
-  EXPECT_TRUE(L.isUnlimited());
-  EXPECT_TRUE(std::isinf(L.bound()));
-  EXPECT_TRUE(L.canCharge(UINT64_MAX / 2));
-  L.chargeMove(1000); // no volume, no bound: still fine
-  EXPECT_TRUE(L.holds());
-}
-
-TEST(ReallocationLedger, CanChargeBoundaryIsExact) {
-  ReallocationLedger L(1.0);
-  L.noteAllocation(10);
-  EXPECT_TRUE(L.canCharge(10));   // exactly at the bound: allowed
-  EXPECT_FALSE(L.canCharge(11));  // one word over: denied
-  L.chargeMove(10);
-  EXPECT_FALSE(L.canCharge(1));   // budget exhausted until fresh volume
-  L.noteAllocation(1);
-  EXPECT_TRUE(L.canCharge(1));
-}
-
-TEST(ReallocationLedger, HoldsDetectsForcedViolation) {
-  // chargeMove without a canCharge check models a buggy scheme; the
-  // worst-prefix tracker must convict it.
-  ReallocationLedger L(1.0);
-  L.noteAllocation(10);
-  L.chargeMove(25);
-  EXPECT_FALSE(L.holds());
-  EXPECT_DOUBLE_EQ(L.maxPrefixRatio(), 2.5);
-}
 
 // --- CostObliviousAllocator (realloc-bucket) -------------------------------
 
@@ -120,10 +63,10 @@ TEST(CostOblivious, BackfillsHighestClassMateIntoHole) {
   EXPECT_EQ(H.object(C).Address, 0u);
   EXPECT_EQ(H.object(B).Address, 8u);
   // Exact accounting: 8 words moved against 24 allocated.
-  const ReallocationLedger *RL = MM.reallocationLedger();
+  const CompactionLedger *RL = MM.reallocationLedger();
   ASSERT_NE(RL, nullptr);
-  EXPECT_EQ(RL->movedWords(), 8u);
-  EXPECT_EQ(RL->allocatedWords(), 24u);
+  EXPECT_EQ(H.stats().MovedWords, 8u);
+  EXPECT_EQ(H.stats().TotalAllocatedWords, 24u);
   EXPECT_DOUBLE_EQ(RL->maxPrefixRatio(), 8.0 / 24.0);
   EXPECT_TRUE(RL->holds());
 }
@@ -214,10 +157,9 @@ TEST(TightSpan, RebuildPacksDensePrefixAndChargesExactly) {
   EXPECT_EQ(H.object(C).Address, 4u);
   // A complete pass leaves the span exactly as tight as the live size.
   EXPECT_EQ(MM.spanTop(), H.stats().LiveWords);
-  const ReallocationLedger *RL = MM.reallocationLedger();
-  EXPECT_EQ(RL->movedWords(), 4u);
-  EXPECT_EQ(RL->allocatedWords(), 16u);
-  EXPECT_DOUBLE_EQ(RL->maxPrefixRatio(), 0.25);
+  EXPECT_EQ(H.stats().MovedWords, 4u);
+  EXPECT_EQ(H.stats().TotalAllocatedWords, 16u);
+  EXPECT_DOUBLE_EQ(MM.reallocationLedger()->maxPrefixRatio(), 0.25);
 }
 
 TEST(TightSpan, EmptyHeapResetsSpan) {
@@ -242,7 +184,6 @@ TEST(TightSpan, SpendGateDenialDegradesGracefully) {
   // Denial degrades to fewer moves, not a violated bound or a livelock.
   EXPECT_EQ(H.stats().MovedWords, 0u);
   EXPECT_TRUE(MM.reallocationLedger()->holds());
-  EXPECT_EQ(MM.reallocationLedger()->movedWords(), 0u);
   EXPECT_EQ(MM.spanTop(), 12u); // an incomplete pass must not tighten
 }
 
@@ -250,8 +191,7 @@ TEST(TightSpan, SpendGateDenialDegradesGracefully) {
 
 // 8 seeds x 10k insert/delete ops against each movement scheme: the
 // worst-prefix overhead (which covers EVERY prefix, by construction of
-// maxPrefixRatio) stays within the paper bound, and the scheme's own
-// ledger reconciles exactly with the heap's independent statistics.
+// maxPrefixRatio) stays within the paper bound.
 template <typename ManagerT>
 void runRandomChurn(double Bound) {
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
@@ -273,13 +213,10 @@ void runRandomChurn(double Bound) {
         Live.pop_back();
       }
     }
-    const ReallocationLedger *RL = MM.reallocationLedger();
+    const CompactionLedger *RL = MM.reallocationLedger();
     ASSERT_NE(RL, nullptr);
     EXPECT_TRUE(RL->holds()) << "seed " << Seed;
-    EXPECT_LE(RL->maxPrefixRatio(), Bound + 1e-9) << "seed " << Seed;
-    EXPECT_EQ(RL->movedWords(), H.stats().MovedWords) << "seed " << Seed;
-    EXPECT_EQ(RL->allocatedWords(), H.stats().TotalAllocatedWords)
-        << "seed " << Seed;
+    EXPECT_LE(RL->maxPrefixRatio(), Bound) << "seed " << Seed;
     EXPECT_GT(H.stats().MovedWords, 0u) << "seed " << Seed
                                         << ": the gauntlet never moved";
   }
@@ -311,8 +248,8 @@ TEST(Gauntlet, NeverMoveIsZeroOverhead) {
     }
     EXPECT_EQ(H.stats().MovedWords, 0u);
     EXPECT_EQ(MM.overheadBound(), 0.0);
-    EXPECT_EQ(MM.reallocationLedger()->movedWords(), 0u);
-    EXPECT_DOUBLE_EQ(MM.reallocationLedger()->overheadRatio(), 0.0);
+    EXPECT_EQ(MM.ledger().budgetWords(), 0u); // c = +infinity
+    EXPECT_EQ(MM.reallocationLedger()->maxPrefixRatio(), 0.0);
   }
 }
 
@@ -332,13 +269,11 @@ TEST(Gauntlet, PFCascadesTerminateWithinBound) {
     auto Prog = createProgram("cohen-petrank", M, 4, 50.0);
     ASSERT_NE(Prog, nullptr);
     Execution E(*MM, *Prog, M);
-    ExecutionResult Res = E.run();
-    const ReallocationLedger *RL = MM->reallocationLedger();
+    E.run();
+    const CompactionLedger *RL = MM->reallocationLedger();
     ASSERT_NE(RL, nullptr) << K.Policy;
     EXPECT_TRUE(RL->holds()) << K.Policy;
-    EXPECT_LE(RL->maxPrefixRatio(), K.Bound + 1e-9) << K.Policy;
-    EXPECT_EQ(RL->movedWords(), Res.MovedWords) << K.Policy;
-    EXPECT_EQ(RL->allocatedWords(), Res.TotalAllocatedWords) << K.Policy;
+    EXPECT_LE(RL->maxPrefixRatio(), K.Bound) << K.Policy;
   }
 }
 
@@ -381,26 +316,41 @@ TEST(Factory, OverheadBoundsPerFamily) {
       createManager("sliding-unlimited", H5, 50.0)->overheadBound()));
 }
 
-// --- Oracle regressions ----------------------------------------------------
+// --- One budget --------------------------------------------------------
 
-namespace oracle_regressions {
+namespace one_budget {
 
-// A manager whose declared bound its own moves exceed: the cheap
-// per-step overhead-ratio invariant must convict it.
-class LyingBoundAllocator : public CostObliviousAllocator {
+// realloc-bucket's backfill at a bound of 1/2, written recursively: every
+// free slides the highest object above the hole down into it (all objects
+// here have one size, so each is a perfect fit).
+class HalfBoundBackfill : public ReallocManager {
 public:
-  explicit LyingBoundAllocator(Heap &H) : CostObliviousAllocator(H) {}
-  double overheadBound() const override { return 0.0; } // "I never move"
+  explicit HalfBoundBackfill(Heap &H) : ReallocManager(H, 0.5) {}
+  std::string name() const override { return "half-bound-backfill"; }
+
+protected:
+  Addr placeFor(uint64_t Size) override {
+    return heap().freeSpace().firstFit(Size);
+  }
+  void onPlaced(ObjectId Id) override { Live[heap().object(Id).Address] = Id; }
+  void onFreeing(ObjectId Id) override {
+    Live.erase(heap().object(Id).Address);
+  }
+  void onFreed(ObjectId, Addr From, uint64_t) override {
+    if (!Live.empty() && std::prev(Live.end())->first > From)
+      tryMoveObject(std::prev(Live.end())->second, From);
+  }
+
+private:
+  std::map<Addr, ObjectId> Live;
 };
 
-// A manager that moves behind its ledger's back (tryMoveObject without
-// reallocMove): only the end-to-end reconciliation catches it, because
-// the heap's statistics are the independent witness.
+// Moves behind the budget's gate: heap().move directly, not tryMoveObject.
 class RogueMoveManager : public ReallocManager {
 public:
   explicit RogueMoveManager(Heap &H) : ReallocManager(H, 1.0) {}
   std::string name() const override { return "rogue-move"; }
-  bool rogueMove(ObjectId Id, Addr To) { return tryMoveObject(Id, To); }
+  void rogueMove(ObjectId Id, Addr To) { heap().move(Id, To); }
 
 protected:
   Addr placeFor(uint64_t Size) override {
@@ -408,79 +358,74 @@ protected:
   }
 };
 
-// A manager whose ledger recorded a bound-breaching prefix: the
-// overhead-history invariant must flag it even when the current ratio
-// has long since recovered.
-class BrokenHistoryManager : public MemoryManager {
-public:
-  explicit BrokenHistoryManager(Heap &H)
-      : MemoryManager(H, /*C=*/0.0), RL(1.0) {}
-  std::string name() const override { return "broken-history"; }
-  const ReallocationLedger *reallocationLedger() const override {
-    return &RL;
-  }
-  double overheadBound() const override { return RL.bound(); }
-  ReallocationLedger RL;
-
-protected:
-  Addr placeFor(uint64_t Size) override {
-    return heap().freeSpace().firstFit(Size);
-  }
-};
-
-} // namespace oracle_regressions
-
-TEST(OracleRegression, LyingOverheadBoundIsCaught) {
-  Heap H;
-  EventLog Log;
-  oracle_regressions::LyingBoundAllocator MM(H);
-  ObjectId A = MM.allocate(8);
-  MM.allocate(8);
-  MM.allocate(8);
-  MM.free(A); // triggers a backfill move the declared bound forbids
-  ASSERT_GT(H.stats().MovedWords, 0u);
-  InvariantOracle Oracle(H, MM, Log);
-  std::vector<Violation> Out;
-  EXPECT_GT(Oracle.checkStep(1, Out), 0u);
-  ASSERT_FALSE(Out.empty());
-  EXPECT_EQ(Out.front().Check, "overhead-ratio");
+bool sawCheck(const std::vector<Violation> &Out, const std::string &Check) {
+  for (const Violation &V : Out)
+    if (V.Check == Check)
+      return true;
+  return false;
 }
 
-TEST(OracleRegression, UnchargedMoveFailsLedgerReconcile) {
+} // namespace one_budget
+
+// A program that frees every moved object (PF's reaction) nests each
+// backfill inside the previous one. The budget reads the heap's counters,
+// so every nested move is checked against the outer moves too: c = 2
+// funds floor(128 / 2) = 64 words, eight 8-word backfills, and the ninth
+// is denied. (A ledger charged only after the reaction returned let all
+// fifteen through: 120 words against 128 allocated.)
+TEST(OneBudget, NestedBackfillCascadeStopsAtTheBudget) {
+  Heap H;
+  one_budget::HalfBoundBackfill MM(H);
+  MM.setMoveCallback([](ObjectId, Addr, Addr) { return true; });
+  ObjectId First = MM.allocate(8);
+  for (int I = 1; I != 16; ++I)
+    MM.allocate(8);
+  ASSERT_EQ(H.stats().TotalAllocatedWords, 128u);
+  MM.free(First);
+  EXPECT_EQ(H.stats().MovedWords, 64u);
+  EXPECT_EQ(H.stats().LiveWords, 56u);
+  EXPECT_DOUBLE_EQ(MM.reallocationLedger()->maxPrefixRatio(), 0.5);
+  EXPECT_TRUE(MM.reallocationLedger()->holds());
+}
+
+// A move past the budget that bypasses tryMoveObject is convicted at the
+// endpoint by the ledger over the heap's statistics, and on its prefix by
+// the independent event-log audit.
+TEST(OracleRegression, MoveBypassingTheGateFailsBothBudgetChecks) {
   Heap H;
   EventLog Log;
   H.setEventCallback([&](const HeapEvent &E) { Log.record(E); });
-  oracle_regressions::RogueMoveManager MM(H);
+  one_budget::RogueMoveManager MM(H);
   ObjectId A = MM.allocate(8);
   ObjectId B = MM.allocate(8);
   MM.free(A);
-  ASSERT_TRUE(MM.rogueMove(B, 0)); // moved, but the ledger never saw it
+  MM.rogueMove(B, 0);
+  MM.rogueMove(B, 16);
+  MM.rogueMove(B, 0); // 24 words moved against 16 allocated at c = 1
   InvariantOracle Oracle(H, MM, Log);
   std::vector<Violation> Out;
   EXPECT_GT(Oracle.checkDeep(1, Out), 0u);
-  bool SawReconcile = false;
-  for (const Violation &V : Out)
-    SawReconcile |= V.Check == "ledger-reconcile";
-  EXPECT_TRUE(SawReconcile);
+  EXPECT_TRUE(one_budget::sawCheck(Out, "budget-endpoint"));
+  EXPECT_TRUE(one_budget::sawCheck(Out, "budget-history"));
 }
 
-TEST(OracleRegression, BreachedPrefixFailsOverheadHistory) {
+// A breach on an earlier prefix stays convicted after fresh allocation
+// volume makes the endpoint look innocent.
+TEST(OracleRegression, BreachedPrefixFailsBudgetHistory) {
   Heap H;
   EventLog Log;
   H.setEventCallback([&](const HeapEvent &E) { Log.record(E); });
-  oracle_regressions::BrokenHistoryManager MM(H);
-  MM.allocate(8);
-  MM.RL.noteAllocation(8);
-  MM.RL.chargeMove(40); // prefix ratio 5 against bound 1
-  MM.RL.noteAllocation(992);
-  EXPECT_LT(MM.RL.overheadRatio(), 1.0); // the endpoint looks innocent
+  one_budget::RogueMoveManager MM(H);
+  ObjectId A = MM.allocate(8);
+  MM.rogueMove(A, 8);
+  MM.rogueMove(A, 0); // 16 words moved against 8 allocated
+  MM.allocate(992);
+  ASSERT_TRUE(MM.ledger().holds()); // 16 <= 1000: the endpoint is fine
   InvariantOracle Oracle(H, MM, Log);
   std::vector<Violation> Out;
   EXPECT_GT(Oracle.checkDeep(1, Out), 0u);
-  bool SawHistory = false;
-  for (const Violation &V : Out)
-    SawHistory |= V.Check == "overhead-history";
-  EXPECT_TRUE(SawHistory);
+  EXPECT_FALSE(one_budget::sawCheck(Out, "budget-endpoint"));
+  EXPECT_TRUE(one_budget::sawCheck(Out, "budget-history"));
 }
 
 // --- UpdateProgram ---------------------------------------------------------
@@ -645,10 +590,10 @@ TEST(GoldenWorstOverhead, CommittedReproducerStillStings) {
   StreamingTraceProgram P(std::move(Schedule));
   Execution E(MM, P, M);
   E.run();
-  const ReallocationLedger *RL = MM.reallocationLedger();
+  const CompactionLedger *RL = MM.reallocationLedger();
   EXPECT_GE(RL->maxPrefixRatio(), 1.0)
       << "the committed trace no longer stresses the repacker";
-  EXPECT_LE(RL->maxPrefixRatio(), 2.0 + 1e-9);
+  EXPECT_LE(RL->maxPrefixRatio(), 2.0);
   EXPECT_TRUE(RL->holds());
 }
 

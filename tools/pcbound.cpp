@@ -86,7 +86,6 @@
 #include "obs/Profiler.h"
 #include "obs/Timeline.h"
 #include "obs/TimelineSampler.h"
-#include "realloc/ReallocationLedger.h"
 #include "runner/ExperimentGrid.h"
 #include "runner/ResultSink.h"
 #include "runner/Runner.h"
@@ -405,9 +404,9 @@ int cmdSimulate(const OptionParser &Opts) {
             << formatDouble(FM.ExternalFragmentation, 3) << "\n";
   // The reallocation family's score line; compaction-family output is
   // unchanged byte for byte.
-  if (const ReallocationLedger *RL = MM->reallocationLedger())
+  if (const CompactionLedger *RL = MM->reallocationLedger())
     std::cout << "  overhead ratio      "
-              << formatDouble(RL->overheadRatio(), 4) << " (worst prefix "
+              << formatDouble(R.overheadRatio(), 4) << " (worst prefix "
               << formatDouble(RL->maxPrefixRatio(), 4) << ", bound "
               << (std::isfinite(MM->overheadBound())
                       ? formatDouble(MM->overheadBound(), 1)
@@ -745,7 +744,7 @@ int cmdFuzz(const OptionParser &Opts) {
       std::cerr << "fuzz: cannot write reproducer '" << Path << "'\n";
       continue;
     }
-    DifferentialHarness::writeReproducer(OS, O.Minimal, *Failing);
+    DifferentialHarness::writeReproducer(OS, O.Minimal, *Failing, S.C);
     std::cerr << "fuzz: reproducer written; re-run with: pcbound"
               << " replay-trace trace=" << Path << "\n";
     if (!TimelinePrefix.empty()) {
@@ -812,16 +811,26 @@ int cmdReplayTrace(const OptionParser &Opts) {
         std::string Value = Field.substr(Eq + 1);
         if (Key == "policy")
           Header.Policy = Value;
-        else if (Key == "c")
-          Header.C = std::strtod(Value.c_str(), nullptr);
+        else if (Key == "c" && !(OptionParser::parseNumber(Value, Header.C) &&
+                                 std::isfinite(Header.C)))
+          fail("invalid number '" + Value + "' in c= of the '" + Magic +
+               "' header");
       }
       break;
     }
   }
   ScenarioOptions S = parseScenario(Opts, Header);
+  if (!std::isfinite(S.C))
+    fail("c=" + Opts.getString("c", "") + " is not a finite quota");
+  // The recorded moves are audited against the budget of the manager the
+  // replay builds: the reallocation family's c is fixed by its scheme,
+  // and sliding-unlimited has none.
+  double AuditC;
   {
     Heap Probe;
-    buildManager(S.Policy, Probe, 50.0, /*LiveBound=*/pow2(12));
+    AuditC = buildManager(S.Policy, Probe, S.C, /*LiveBound=*/pow2(12))
+                 ->ledger()
+                 .quotaDenominator();
   }
 
   int NumProblems = 0;
@@ -830,8 +839,8 @@ int cmdReplayTrace(const OptionParser &Opts) {
               << " or move of a dead object)\n";
     ++NumProblems;
   }
-  if (!auditBudgetHistory(Log.events(), S.C)) {
-    std::cout << "recorded events: c-partial budget (c=" << S.C
+  if (!auditBudgetHistory(Log.events(), AuditC)) {
+    std::cout << "recorded events: c-partial budget (c=" << AuditC
               << ") violated on some prefix\n";
     ++NumProblems;
   }
