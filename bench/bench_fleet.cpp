@@ -4,8 +4,8 @@
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
 //
 // Drives the service layer end to end: for each arena count in arenas=,
-// a ServiceFleet drains sessions= lightweight mutator sessions through
-// the work-stealing scheduler and reports the fleet's footprint and
+// a ServiceFleet drains sessions= lightweight mutator sessions on the
+// runner's thread pool and reports the fleet's footprint and
 // fragmentation percentiles. The table shows how sharding one workload
 // over more arenas trades total footprint against per-arena
 // fragmentation (the Compact-fit per-thread-arena question) under a
@@ -45,7 +45,6 @@ int main(int argc, char **argv) try {
   FleetOptions Base;
   Base.NumSessions = Sessions;
   Base.Threads = unsigned(Opts.getUInt("threads", 0));
-  Base.SliceFlushes = std::max<uint64_t>(1, Opts.getUInt("slice", 32));
   Base.Shard.Policy = Opts.getString("policy", "evacuating");
   Base.Shard.C = Opts.getDouble("c", 50.0);
   Base.Shard.BatchSize = std::max<uint64_t>(1, Opts.getUInt("batch", 16));
@@ -70,7 +69,7 @@ int main(int argc, char **argv) try {
                    "burn_%", "flushes"});
 
   // The fleets run profiled (serve.flush plus the substrate sections) so
-  // the regression baseline reflects the real scheduler path; the
+  // the regression baseline reflects the real serving path; the
   // ScopedTimer overhead at flush granularity is noise.
   Profiler Prof;
   double Wall = 0.0;
@@ -131,23 +130,9 @@ int main(int argc, char **argv) try {
        << "  \"wall_seconds\": " << formatDouble(Wall, 3) << ",\n"
        << "  \"total_steps\": " << TotalOps << ",\n"
        << "  \"steps_per_second\": " << formatDouble(OpsPerSec, 1) << ",\n"
-       << "  \"per_phase\": [";
-    bool First = true;
-    for (unsigned S = 0; S != Profiler::NumSections; ++S) {
-      const Profiler::SectionStats &Stats =
-          Prof.section(Profiler::Section(S));
-      if (Stats.Calls == 0)
-        continue;
-      OS << (First ? "" : ", ") << "{\"section\": \""
-         << Profiler::sectionName(Profiler::Section(S))
-         << "\", \"calls\": " << Stats.Calls << ", \"total_ms\": "
-         << formatDouble(double(Stats.Nanos) * 1e-6, 3)
-         << ", \"ns_per_call\": "
-         << formatDouble(double(Stats.Nanos) / double(Stats.Calls), 1)
-         << "}";
-      First = false;
-    }
-    OS << "]\n}\n";
+       << "  \"per_phase\": ";
+    Prof.printPhasesJson(OS);
+    OS << "\n}\n";
     if (!OS) {
       std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
       return 1;

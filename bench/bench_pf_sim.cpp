@@ -225,23 +225,9 @@ int main(int argc, char **argv) try {
        << "  \"profiled_cell\": {\"policy\": \"evacuating\", \"c\": "
        << formatDouble(Cs.front(), 0) << ", \"steps\": " << CellSteps
        << ", \"wall_seconds\": " << formatDouble(CellWall, 3) << "},\n"
-       << "  \"per_phase\": [";
-    bool First = true;
-    for (unsigned S = 0; S != Profiler::NumSections; ++S) {
-      const Profiler::SectionStats &Stats =
-          Prof.section(Profiler::Section(S));
-      if (Stats.Calls == 0)
-        continue;
-      OS << (First ? "" : ", ") << "{\"section\": \""
-         << Profiler::sectionName(Profiler::Section(S))
-         << "\", \"calls\": " << Stats.Calls << ", \"total_ms\": "
-         << formatDouble(double(Stats.Nanos) * 1e-6, 3)
-         << ", \"ns_per_call\": "
-         << formatDouble(double(Stats.Nanos) / double(Stats.Calls), 1)
-         << "}";
-      First = false;
-    }
-    OS << "]\n}\n";
+       << "  \"per_phase\": ";
+    Prof.printPhasesJson(OS);
+    OS << "\n}\n";
     if (!OS) {
       std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
       return 1;

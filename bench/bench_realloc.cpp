@@ -43,22 +43,10 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 
 using namespace pcb;
 
 namespace {
-
-/// Splits "a,b,c" into non-empty items.
-std::vector<std::string> parseNameList(const std::string &Text) {
-  std::vector<std::string> Names;
-  std::istringstream IS(Text);
-  std::string Item;
-  while (std::getline(IS, Item, ','))
-    if (!Item.empty())
-      Names.push_back(Item);
-  return Names;
-}
 
 struct CellOutcome {
   ExecutionResult Exec;
@@ -86,11 +74,12 @@ CellOutcome runCell(const std::string &ProgName, const std::string &Policy,
 
 int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
-  std::vector<std::string> Programs = parseNameList(Opts.getString(
-      "programs", "update-fill-drain,update-alternating,update-comb,"
-                  "update-size-profile,update-mix,cohen-petrank"));
+  std::vector<std::string> Programs =
+      parseNameList(Opts, "programs",
+                    "update-fill-drain,update-alternating,update-comb,"
+                    "update-size-profile,update-mix,cohen-petrank");
   std::vector<std::string> Policies = parseNameList(
-      Opts.getString("policies", "realloc-never,realloc-bucket,realloc-jin"));
+      Opts, "policies", "realloc-never,realloc-bucket,realloc-jin");
   unsigned LogM = parseLogWord(Opts, "logm", 12);
   unsigned LogN = parseLogWord(Opts, "logn", 6);
   double C = Opts.getDouble("c", 50.0);
@@ -219,23 +208,9 @@ int main(int argc, char **argv) try {
          << "\", \"overhead\": " << formatDouble(OverheadCells[I].second, 4)
          << "}";
     OS << "],\n"
-       << "  \"per_phase\": [";
-    bool First = true;
-    for (unsigned S = 0; S != Profiler::NumSections; ++S) {
-      const Profiler::SectionStats &Stats =
-          Prof.section(Profiler::Section(S));
-      if (Stats.Calls == 0)
-        continue;
-      OS << (First ? "" : ", ") << "{\"section\": \""
-         << Profiler::sectionName(Profiler::Section(S))
-         << "\", \"calls\": " << Stats.Calls << ", \"total_ms\": "
-         << formatDouble(double(Stats.Nanos) * 1e-6, 3)
-         << ", \"ns_per_call\": "
-         << formatDouble(double(Stats.Nanos) / double(Stats.Calls), 1)
-         << "}";
-      First = false;
-    }
-    OS << "]\n}\n";
+       << "  \"per_phase\": ";
+    Prof.printPhasesJson(OS);
+    OS << "\n}\n";
     if (!OS) {
       std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
       return 1;

@@ -46,17 +46,6 @@ using namespace pcb;
 
 namespace {
 
-/// Splits "a,b,c" into non-empty items.
-std::vector<std::string> parseNameList(const std::string &Text) {
-  std::vector<std::string> Names;
-  std::istringstream IS(Text);
-  std::string Item;
-  while (std::getline(IS, Item, ','))
-    if (!Item.empty())
-      Names.push_back(Item);
-  return Names;
-}
-
 /// Resolves a fuzz pattern by name; exits with a diagnostic otherwise.
 WorkloadFuzzer::Pattern patternByName(const std::string &Name) {
   for (WorkloadFuzzer::Pattern P : WorkloadFuzzer::allPatterns())
@@ -74,11 +63,11 @@ WorkloadFuzzer::Pattern patternByName(const std::string &Name) {
 int main(int argc, char **argv) try {
   OptionParser Opts(argc, argv);
   std::vector<std::string> Traces =
-      parseNameList(Opts.getString("traces", "churn,queue-fifo,comb"));
-  std::vector<std::string> Policies = parseNameList(
-      Opts.getString("policies", "first-fit,evacuating,chunked"));
-  std::vector<std::string> Controllers = parseNameList(
-      Opts.getString("controllers", "fixed,periodic,membalancer"));
+      parseNameList(Opts, "traces", "churn,queue-fifo,comb");
+  std::vector<std::string> Policies =
+      parseNameList(Opts, "policies", "first-fit,evacuating,chunked");
+  std::vector<std::string> Controllers =
+      parseNameList(Opts, "controllers", "fixed,periodic,membalancer");
   uint64_t NumOps = Opts.getUInt("ops", 20000);
   uint64_t Seed = Opts.getUInt("seed", 42);
   if (Traces.empty() || Policies.empty() || Controllers.empty() ||
@@ -213,23 +202,9 @@ int main(int argc, char **argv) try {
        << "\", \"policy\": \"evacuating\", \"controller\": \"membalancer\""
        << ", \"ops\": " << CellOps << ", \"wall_seconds\": "
        << formatDouble(CellWall, 3) << "},\n"
-       << "  \"per_phase\": [";
-    bool First = true;
-    for (unsigned S = 0; S != Profiler::NumSections; ++S) {
-      const Profiler::SectionStats &Stats =
-          Prof.section(Profiler::Section(S));
-      if (Stats.Calls == 0)
-        continue;
-      OS << (First ? "" : ", ") << "{\"section\": \""
-         << Profiler::sectionName(Profiler::Section(S))
-         << "\", \"calls\": " << Stats.Calls << ", \"total_ms\": "
-         << formatDouble(double(Stats.Nanos) * 1e-6, 3)
-         << ", \"ns_per_call\": "
-         << formatDouble(double(Stats.Nanos) / double(Stats.Calls), 1)
-         << "}";
-      First = false;
-    }
-    OS << "]\n}\n";
+       << "  \"per_phase\": ";
+    Prof.printPhasesJson(OS);
+    OS << "\n}\n";
     if (!OS) {
       std::cerr << "error: cannot write '" << BenchJsonPath << "'\n";
       return 1;

@@ -63,8 +63,6 @@ const char *Profiler::counterName(Counter C) {
     return "timeline.samples";
   case CtrServeFlushes:
     return "serve.flushes";
-  case CtrServeSteals:
-    return "serve.steals";
   case CtrServeSessions:
     return "serve.sessions";
   case CtrTraceOps:
@@ -98,4 +96,20 @@ void Profiler::printReport(std::ostream &OS, double WallSeconds) const {
   for (unsigned I = 0; I != NumCounters; ++I)
     if (Counters[I] != 0)
       OS << "# " << counterName(Counter(I)) << " = " << Counters[I] << "\n";
+}
+
+void Profiler::printPhasesJson(std::ostream &OS) const {
+  OS << "[";
+  bool First = true;
+  for (unsigned I = 0; I != NumSections; ++I) {
+    const SectionStats &S = Sections[I];
+    if (S.Calls == 0)
+      continue;
+    OS << (First ? "" : ", ") << "{\"section\": \"" << sectionName(Section(I))
+       << "\", \"calls\": " << S.Calls << ", \"total_ms\": "
+       << formatDouble(double(S.Nanos) * 1e-6, 3) << ", \"ns_per_call\": "
+       << formatDouble(double(S.Nanos) / double(S.Calls), 1) << "}";
+    First = false;
+  }
+  OS << "]";
 }

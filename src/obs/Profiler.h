@@ -72,7 +72,6 @@ public:
     CtrReallocPasses,     ///< reallocation backfill/repack invocations
     CtrTimelineSamples,   ///< points recorded by a TimelineSampler
     CtrServeFlushes,      ///< request batches applied by fleet shards
-    CtrServeSteals,       ///< arenas stolen by idle fleet workers
     CtrServeSessions,     ///< sessions retired by fleet shards
     CtrTraceOps,          ///< malloc-trace operations streamed
     CtrControllerDenials, ///< moves denied by a budget controller's gate
@@ -138,6 +137,11 @@ public:
   /// WallSeconds (pass the enclosing run's wall clock). Sections with no
   /// calls are omitted; counters follow as comment lines.
   void printReport(std::ostream &OS, double WallSeconds) const;
+
+  /// Renders the sections with calls as one JSON array of {section,
+  /// calls, total_ms, ns_per_call} objects: the per_phase field of the
+  /// benches' bench-json= baselines.
+  void printPhasesJson(std::ostream &OS) const;
 
 private:
   friend class ProfilerScope;

@@ -7,6 +7,8 @@
 
 #include "obs/Timeline.h"
 
+#include "heap/Metrics.h"
+#include "mm/CompactionLedger.h"
 #include "runner/ResultSink.h"
 #include "support/AsciiChart.h"
 
@@ -14,6 +16,24 @@
 #include <ostream>
 
 using namespace pcb;
+
+TimelinePoint pcb::pointFrom(uint64_t Step, const Heap &H,
+                             const CompactionLedger &L) {
+  FragmentationMetrics FM = measureFragmentation(H);
+  TimelinePoint P;
+  P.Step = Step;
+  P.FootprintWords = FM.FootprintWords;
+  P.LiveWords = FM.LiveWords;
+  P.FreeWords = FM.FreeWords;
+  P.FreeBlocks = FM.FreeBlocks;
+  P.LargestFreeBlock = FM.LargestFreeBlock;
+  P.Utilization = FM.Utilization;
+  P.ExternalFragmentation = FM.ExternalFragmentation;
+  P.AllocatedWords = H.stats().TotalAllocatedWords;
+  P.MovedWords = H.stats().MovedWords;
+  P.BudgetWords = L.isUnlimited() ? 0 : L.budgetWords();
+  return P;
+}
 
 void Timeline::thinHalf() {
   size_t Kept = 0;

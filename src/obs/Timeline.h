@@ -30,6 +30,8 @@
 
 namespace pcb {
 
+class CompactionLedger;
+class Heap;
 class ResultSink;
 
 /// One sampled snapshot of heap state after a completed step.
@@ -48,6 +50,11 @@ struct TimelinePoint {
   /// not budget-limited (the non-c-partial baselines).
   uint64_t BudgetWords = 0;
 };
+
+/// Snapshots \p H and the budget of \p L as the point at \p Step. One
+/// O(log free blocks) fragmentation query; callers choose the cadence.
+TimelinePoint pointFrom(uint64_t Step, const Heap &H,
+                        const CompactionLedger &L);
 
 /// An ordered series of TimelinePoints with deterministic emitters.
 class Timeline {

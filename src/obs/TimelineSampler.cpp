@@ -8,8 +8,6 @@
 #include "obs/TimelineSampler.h"
 
 #include "driver/Execution.h"
-#include "heap/Metrics.h"
-#include "mm/CompactionLedger.h"
 #include "obs/Profiler.h"
 
 #include <cassert>
@@ -34,22 +32,7 @@ void TimelineSampler::finish(const Execution &E) {
 }
 
 void TimelineSampler::record(const Execution &E) {
-  const Heap &H = E.heap();
-  FragmentationMetrics FM = measureFragmentation(H);
-  const CompactionLedger &L = E.manager().ledger();
-
-  TimelinePoint P;
-  P.Step = E.stepsRun();
-  P.FootprintWords = FM.FootprintWords;
-  P.LiveWords = FM.LiveWords;
-  P.FreeWords = FM.FreeWords;
-  P.FreeBlocks = FM.FreeBlocks;
-  P.LargestFreeBlock = FM.LargestFreeBlock;
-  P.Utilization = FM.Utilization;
-  P.ExternalFragmentation = FM.ExternalFragmentation;
-  P.AllocatedWords = H.stats().TotalAllocatedWords;
-  P.MovedWords = H.stats().MovedWords;
-  P.BudgetWords = L.isUnlimited() ? 0 : L.budgetWords();
+  TimelinePoint P = pointFrom(E.stepsRun(), E.heap(), E.manager().ledger());
   TL.addPoint(P);
   LastRecordedStep = P.Step;
   Profiler::bump(Profiler::CtrTimelineSamples);

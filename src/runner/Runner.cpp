@@ -225,6 +225,18 @@ std::vector<double> pcb::parseNumberList(const OptionParser &Opts,
   return Values;
 }
 
+std::vector<std::string> pcb::parseNameList(const OptionParser &Opts,
+                                            const std::string &Name,
+                                            const std::string &Default) {
+  std::vector<std::string> Names;
+  std::istringstream IS(Opts.getString(Name, Default));
+  std::string Item;
+  while (std::getline(IS, Item, ','))
+    if (!Item.empty())
+      Names.push_back(Item);
+  return Names;
+}
+
 unsigned pcb::parseLogWord(const OptionParser &Opts, const std::string &Name,
                            unsigned Default) {
   uint64_t Log = Opts.getUInt(Name, Default);

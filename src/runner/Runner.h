@@ -38,7 +38,7 @@ class OptionParser;
 class Profiler;
 
 struct RunnerOptions {
-  /// Worker count; 0 means std::thread::hardware_concurrency().
+  /// Worker count; 0 means Runner::defaultThreads() (hardware threads).
   unsigned Threads = 0;
   /// Progress reporting to stderr: 0 off, 1 on, -1 auto (on only when
   /// stderr is a terminal, so CI logs and redirections stay clean).
@@ -123,6 +123,12 @@ Runner makeRunner(const OptionParser &Opts);
 std::vector<double> parseNumberList(const OptionParser &Opts,
                                     const std::string &Name,
                                     const std::string &Default);
+
+/// Parses the comma-separated names of option \p Name ("a,b,c"), or
+/// \p Default when it is absent; empty items are skipped.
+std::vector<std::string> parseNameList(const OptionParser &Opts,
+                                       const std::string &Name,
+                                       const std::string &Default);
 
 /// Reads the log2 size word \p Name (logm=, logn=, maxlog=, ...), or
 /// \p Default when it is absent. Throws std::invalid_argument naming the

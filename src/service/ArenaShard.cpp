@@ -123,7 +123,7 @@ void ArenaShard::flush() {
   ++NumFlushes;
   Profiler::bump(Profiler::CtrServeFlushes);
   // The controller observes at flush granularity: a pure function of the
-  // shard's fixed schedule, never of slicing or stealing.
+  // shard's fixed schedule, never of how runSlice calls split it.
   Ctrl->observe(sampleFromHeap(H, NumFlushes));
   // Flush-boundary fragmentation telemetry (O(log free blocks), so it
   // stays cheap at batch granularity). The drained endpoint has no live
@@ -145,21 +145,7 @@ void ArenaShard::sampleTimeline() {
 }
 
 void ArenaShard::recordTimelinePoint() {
-  FragmentationMetrics FM = measureFragmentation(H);
-  TimelinePoint P;
-  P.Step = Retired;
-  P.FootprintWords = FM.FootprintWords;
-  P.LiveWords = FM.LiveWords;
-  P.FreeWords = FM.FreeWords;
-  P.FreeBlocks = FM.FreeBlocks;
-  P.LargestFreeBlock = FM.LargestFreeBlock;
-  P.Utilization = FM.Utilization;
-  P.ExternalFragmentation = FM.ExternalFragmentation;
-  P.AllocatedWords = H.stats().TotalAllocatedWords;
-  P.MovedWords = H.stats().MovedWords;
-  P.BudgetWords =
-      MM->ledger().isUnlimited() ? 0 : MM->ledger().budgetWords();
-  TL.addPoint(P);
+  TL.addPoint(pointFrom(Retired, H, MM->ledger()));
   Profiler::bump(Profiler::CtrTimelineSamples);
 }
 

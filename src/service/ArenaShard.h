@@ -10,8 +10,8 @@
 /// CompactionLedger stack (the Compact-fit per-thread-arena model), a
 /// batched allocate/free request queue, and the session multiplexer that
 /// drives both. Shards are shared-nothing — no two shards reference any
-/// common mutable state — so the scheduler may hand a shard to any worker
-/// thread at any time, provided at most one thread runs it at once.
+/// common mutable state — so any worker thread may drain a shard,
+/// provided at most one thread runs it at once.
 ///
 /// \par Execution model
 /// Sessions assigned to the shard are admitted in global-id order into at
@@ -27,8 +27,8 @@
 /// Everything above is a pure function of (shard config, session ids):
 /// admission order, round-robin turns, batch boundaries, and therefore
 /// every placement decision the manager makes. runSlice() only bounds how
-/// much of that fixed schedule executes per call, so slicing — and hence
-/// work-stealing — cannot change any observable outcome.
+/// much of that fixed schedule executes per call, so draining a shard in
+/// one call or a flush at a time cannot change any observable outcome.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,10 +101,9 @@ public:
   ArenaShard(const ArenaShard &) = delete;
   ArenaShard &operator=(const ArenaShard &) = delete;
 
-  /// Runs up to \p MaxFlushes flushes of the arena queue (a scheduler
-  /// quantum). Returns true when the arena has drained: every session
-  /// retired and the queue empty. Not thread-safe; the scheduler
-  /// guarantees one runner at a time.
+  /// Runs up to \p MaxFlushes flushes of the arena queue. Returns true
+  /// when the arena has drained: every session retired and the queue
+  /// empty. Not thread-safe; the caller guarantees one runner at a time.
   bool runSlice(uint64_t MaxFlushes);
 
   bool drained() const {

@@ -11,10 +11,10 @@
 /// percentile view of per-arena fragmentation the Compact-fit trade-off
 /// curves are drawn from, arena-attributed invariant violations, and a
 /// merged fleet timeline. Every field derives from the shards' final
-/// deterministic state — never from the clock, thread count, or steal
-/// history — so the rendered report is byte-identical across thread
-/// counts and fits golden-file testing. Wall-clock and scheduler
-/// observability (steals, slices) live on ServiceFleet and go to stderr.
+/// deterministic state — never from the clock, the thread count, or the
+/// order in which workers took the shards — so the rendered report is
+/// byte-identical across thread counts and fits golden-file testing.
+/// Wall-clock time lives on ServiceFleet and goes to stderr.
 ///
 //===----------------------------------------------------------------------===//
 

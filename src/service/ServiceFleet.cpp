@@ -1,4 +1,4 @@
-//===- service/ServiceFleet.cpp - Work-stealing fleet scheduler ----------===//
+//===- service/ServiceFleet.cpp - Multi-arena service fleet ---------------===//
 //
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
@@ -8,15 +8,9 @@
 #include "service/ServiceFleet.h"
 
 #include "heap/Metrics.h"
-#include "obs/Profiler.h"
+#include "runner/Runner.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <deque>
-#include <exception>
-#include <mutex>
-#include <thread>
 
 using namespace pcb;
 
@@ -40,111 +34,14 @@ ServiceFleet::ServiceFleet(const FleetOptions &Opts) : Opts(Opts) {
 }
 
 void ServiceFleet::run() {
-  auto WallStart = std::chrono::steady_clock::now();
-  uint64_t Quantum = std::max<uint64_t>(1, Opts.SliceFlushes);
-
-  unsigned W = Opts.Threads != 0 ? Opts.Threads
-                                 : std::max(1u, std::thread::hardware_concurrency());
-  W = std::min(W, std::max(1u, unsigned(Shards.size())));
-  UsedThreads = W;
-
-  // One deque per worker; an arena is in exactly one deque or held by
-  // exactly one worker, so shard state itself is never shared.
-  struct WorkerState {
-    std::mutex Mu;
-    std::deque<ArenaShard *> Deque;
-  };
-  std::vector<std::unique_ptr<WorkerState>> Workers;
-  Workers.reserve(W);
-  for (unsigned I = 0; I != W; ++I)
-    Workers.push_back(std::make_unique<WorkerState>());
-  for (size_t A = 0; A != Shards.size(); ++A)
-    Workers[A % W]->Deque.push_back(Shards[A].get());
-
-  std::atomic<uint64_t> Remaining{Shards.size()};
-  std::atomic<uint64_t> StealCount{0};
-  std::atomic<uint64_t> SliceCount{0};
-  std::atomic<bool> Abort{false};
-  std::exception_ptr FirstExc;
-  std::mutex ExcMu;
-
-  auto worker = [&](unsigned Me) {
-    Profiler LocalProf;
-    ProfilerScope Scope(Opts.Prof ? &LocalProf : nullptr);
-    WorkerState &Own = *Workers[Me];
-    while (!Abort.load(std::memory_order_relaxed) &&
-           Remaining.load(std::memory_order_relaxed) != 0) {
-      ArenaShard *S = nullptr;
-      {
-        std::lock_guard<std::mutex> Lock(Own.Mu);
-        if (!Own.Deque.empty()) {
-          S = Own.Deque.front();
-          Own.Deque.pop_front();
-        }
-      }
-      if (!S) {
-        // Steal from a victim's back (coldest work first).
-        for (unsigned D = 1; D != W && !S; ++D) {
-          WorkerState &Victim = *Workers[(Me + D) % W];
-          std::lock_guard<std::mutex> Lock(Victim.Mu);
-          if (!Victim.Deque.empty()) {
-            S = Victim.Deque.back();
-            Victim.Deque.pop_back();
-          }
-        }
-        if (S) {
-          StealCount.fetch_add(1, std::memory_order_relaxed);
-          Profiler::bump(Profiler::CtrServeSteals);
-        }
-      }
-      if (!S) {
-        // Nothing runnable here, but undrained arenas are held by other
-        // workers; spin politely until one re-queues or all drain.
-        std::this_thread::yield();
-        continue;
-      }
-      try {
-        bool Drained = S->runSlice(Quantum);
-        SliceCount.fetch_add(1, std::memory_order_relaxed);
-        if (Drained) {
-          Remaining.fetch_sub(1, std::memory_order_acq_rel);
-        } else {
-          std::lock_guard<std::mutex> Lock(Own.Mu);
-          Own.Deque.push_back(S);
-        }
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> Lock(ExcMu);
-          if (!FirstExc)
-            FirstExc = std::current_exception();
-        }
-        Abort.store(true, std::memory_order_relaxed);
-      }
-    }
-    if (Opts.Prof) {
-      std::lock_guard<std::mutex> Lock(ExcMu);
-      Opts.Prof->merge(LocalProf);
-    }
-  };
-
-  if (W == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(W);
-    for (unsigned I = 0; I != W; ++I)
-      Pool.emplace_back(worker, I);
-    for (std::thread &T : Pool)
-      T.join();
-  }
-
-  NumSteals = StealCount.load();
-  NumSlices = SliceCount.load();
-  WallSecs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           WallStart)
-                 .count();
-  if (FirstExc)
-    std::rethrow_exception(FirstExc);
+  // One cell per shard, drained in one call; no cells-done progress line,
+  // since callers print their own wall summary.
+  Runner R(RunnerOptions{Opts.Threads, /*Progress=*/0, Opts.Prof});
+  R.forEachCell(Shards.size(), [this](uint64_t A) {
+    Shards[size_t(A)]->runSlice(UINT64_MAX);
+  });
+  UsedThreads = std::min(R.threads(), std::max(1u, unsigned(Shards.size())));
+  WallSecs = R.wallSeconds();
 }
 
 FleetReport ServiceFleet::report() const {

@@ -1,4 +1,4 @@
-//===- service/ServiceFleet.h - Work-stealing fleet scheduler ---*- C++ -*-===//
+//===- service/ServiceFleet.h - Multi-arena service fleet -------*- C++ -*-===//
 //
 // Part of pcbound, a reproduction of Cohen & Petrank, "Limitations of
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
@@ -6,27 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The service layer's top: N shared-nothing ArenaShards multiplexed onto
-/// W worker threads by a work-stealing scheduler, plus the assembly of
-/// the deterministic FleetReport from the drained shards.
+/// The service layer's top: N shared-nothing ArenaShards drained on the
+/// experiment Runner's thread pool, plus the assembly of the
+/// deterministic FleetReport from the drained shards.
 ///
 /// \par Scheduling
-/// Each worker owns a mutex-protected deque of arenas. A worker pops its
-/// own front; when empty it steals from a victim's back (classic
-/// Arora-Blumofe-Plumbeck shape, locked rather than lock-free — arena
-/// slices are thousands of operations, so the lock is noise). An arena
-/// lives in exactly one deque or is held by exactly one worker, so shard
-/// state needs no synchronization at all. Workers run one slice
-/// (SliceFlushes flushes) per acquisition and re-queue undrained arenas
-/// locally; termination is an atomic count of drained arenas.
+/// Each shard is one Runner cell: a worker takes the next undrained
+/// arena and drains it in one ArenaShard::runSlice call. A shard is held
+/// by exactly one worker, so shard state needs no synchronization at
+/// all; the Runner supplies the dynamic dispatch, the first-exception
+/// rethrow and the per-worker profiler merge.
 ///
 /// \par Determinism
 /// A shard's execution is a pure function of its configuration (see
-/// ArenaShard.h), and slices commute with shard state, so the drained
-/// fleet — and hence report() — is byte-identical for every thread count,
-/// steal pattern, and slice size. Only wall-clock, steal and slice
-/// counts, and Profiler timings vary; those are exposed separately and
-/// printed to stderr by the CLI.
+/// ArenaShard.h), so the drained fleet — and hence report() — is
+/// byte-identical for every thread count and every order in which the
+/// workers take the shards. Only wall-clock and Profiler timings vary;
+/// those are exposed separately and printed to stderr by the CLI.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,12 +50,10 @@ struct FleetOptions {
   /// Worker threads; 0 means hardware concurrency. Clamped to
   /// [1, NumArenas] — more workers than arenas can never help.
   unsigned Threads = 0;
-  /// Flushes per scheduler quantum (ArenaShard::runSlice bound).
-  uint64_t SliceFlushes = 32;
   /// Per-shard configuration (policy, c, session shape, batching, audit).
   ShardConfig Shard;
-  /// When set, every worker profiles into a private Profiler and the
-  /// results are merged here after the join.
+  /// When set, the shards run profiled and the section/counter totals
+  /// are merged here after the run (RunnerOptions::Prof).
   Profiler *Prof = nullptr;
   /// Fault-injection port: forwarded to the named arena's shard as its
   /// EventTap (other arenas get none). Only meaningful with Shard.Audit.
@@ -68,7 +62,7 @@ struct FleetOptions {
   unsigned ArenaRowLimit = 32;
 };
 
-/// Owns the shards, runs the scheduler, assembles the report.
+/// Owns the shards, drains them on a Runner, assembles the report.
 class ServiceFleet {
 public:
   /// Builds every shard (throws std::runtime_error on a bad policy).
@@ -77,9 +71,9 @@ public:
   ServiceFleet(const ServiceFleet &) = delete;
   ServiceFleet &operator=(const ServiceFleet &) = delete;
 
-  /// Drains every arena. Runs single-threaded inline when one worker
-  /// suffices, otherwise spawns workers. Rethrows the first worker
-  /// exception after joining. Call once.
+  /// Drains every arena, one Runner cell per arena. Runs inline when one
+  /// worker suffices. Rethrows the first shard exception after the
+  /// workers finish. Call once.
   void run();
 
   /// The deterministic fleet report; valid after run().
@@ -89,9 +83,7 @@ public:
   ArenaShard &shard(unsigned A) { return *Shards[A]; }
   const ArenaShard &shard(unsigned A) const { return *Shards[A]; }
 
-  /// Scheduler observability (nondeterministic; stderr only).
-  uint64_t steals() const { return NumSteals; }
-  uint64_t slices() const { return NumSlices; }
+  /// Wall-clock seconds of the last run() (nondeterministic; stderr only).
   double wallSeconds() const { return WallSecs; }
   /// Workers the last run() used (after the 0 = hardware and
   /// [1, NumArenas] clamps).
@@ -100,8 +92,6 @@ public:
 private:
   FleetOptions Opts;
   std::vector<std::unique_ptr<ArenaShard>> Shards;
-  uint64_t NumSteals = 0;
-  uint64_t NumSlices = 0;
   double WallSecs = 0.0;
   unsigned UsedThreads = 0;
 };

@@ -13,7 +13,7 @@
 /// seed, its pattern, its operation list — is a pure function of
 /// (fleet seed, global id) via splitSeed, the same discipline the
 /// experiment runner uses for grid cells: schedules never depend on which
-/// arena slot, batch, thread, or steal served them, which is what makes
+/// arena slot, batch, or thread served them, which is what makes
 /// the fleet report reproducible at any thread count.
 ///
 /// Sessions are generated lazily (a few hundred bytes of MallocOps when

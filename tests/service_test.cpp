@@ -4,13 +4,14 @@
 // Partial Compaction: Towards Practical Bounds" (PLDI 2013).
 //
 // The service layer's conformance gauntlet: the fleet report must be
-// byte-identical across thread counts and slice sizes (the determinism
-// contract work-stealing rests on), session schedules must be pure
-// functions of (fleet seed, global id), the edge configurations (empty
-// fleet, one arena, ragged striping, batch-size boundaries) must drain
-// cleanly, and a fault planted in one arena's event stream via the
-// LogTap port must be detected and attributed to that arena alone —
-// sibling shards' stats, masks, ledgers, and timelines stay untouched.
+// byte-identical across thread counts, a shard drained a flush at a time
+// must match one drained in one call, a shard's exception must reach
+// run()'s caller, session schedules must be pure functions of (fleet
+// seed, global id), the edge configurations (empty fleet, one arena,
+// ragged striping, batch-size boundaries) must drain cleanly, and a
+// fault planted in one arena's event stream via the LogTap port must be
+// detected and attributed to that arena alone — sibling shards' stats,
+// masks, ledgers, and timelines stay untouched.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 using namespace pcb;
 
@@ -37,7 +39,6 @@ FleetOptions smallFleet() {
   FO.NumArenas = 3;
   FO.NumSessions = 48;
   FO.Threads = 1;
-  FO.SliceFlushes = 4;
   FO.Shard.Policy = "evacuating";
   FO.Shard.C = 50.0;
   FO.Shard.BatchSize = 8;
@@ -153,19 +154,6 @@ TEST(ServiceFleet, ReportByteIdenticalAtThreads1248) {
   }
 }
 
-TEST(ServiceFleet, ReportByteIdenticalAcrossSliceSizes) {
-  // The scheduler quantum bounds progress per acquisition, nothing else:
-  // single-flush slices and one giant slice must render identically.
-  FleetOptions FO = smallFleet();
-  FO.SliceFlushes = 1;
-  std::string Fine = runAndRender(FO);
-  FO.SliceFlushes = 1 << 20;
-  EXPECT_EQ(Fine, runAndRender(FO));
-  FO.SliceFlushes = 3;
-  FO.Threads = 4;
-  EXPECT_EQ(Fine, runAndRender(FO));
-}
-
 TEST(ServiceFleet, ShardExecutionIndependentOfSliceSchedule) {
   // Drive two identical shards: one a flush at a time, one in a single
   // slice. Every deterministic observable must match.
@@ -177,6 +165,28 @@ TEST(ServiceFleet, ShardExecutionIndependentOfSliceSchedule) {
   }
   EXPECT_TRUE(Coarse.runSlice(1 << 20));
   EXPECT_EQ(shardFingerprint(Fine), shardFingerprint(Coarse));
+}
+
+TEST(ServiceFleet, FirstShardExceptionIsRethrown) {
+  // A shard that throws mid-drain must surface the exception from run(),
+  // inline at one thread and across the pool at four.
+  for (unsigned Threads : {1u, 4u}) {
+    FleetOptions FO = smallFleet();
+    FO.Threads = Threads;
+    FO.ArenaTap = [](unsigned Arena, HeapEvent &) -> bool {
+      if (Arena == 2)
+        throw std::runtime_error("planted fault in arena 2");
+      return true;
+    };
+    ServiceFleet Fleet(FO);
+    try {
+      Fleet.run();
+      ADD_FAILURE() << "run() returned at threads=" << Threads;
+    } catch (const std::runtime_error &Ex) {
+      EXPECT_STREQ(Ex.what(), "planted fault in arena 2")
+          << "threads=" << Threads;
+    }
+  }
 }
 
 // --- Edge configurations -------------------------------------------------

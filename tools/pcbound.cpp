@@ -41,12 +41,12 @@
 //                                               window, not the op count
 //   pcbound serve    [arenas= sessions= threads= policy= c= batch=
 //                     resident= ops= maxlog= live= seed= sample= audit=
-//                     slice= json= out= timeline= arena-rows= profile=]
+//                     json= out= timeline= arena-rows= profile=]
 //                                               concurrent multi-arena
 //                                               service mode: N shared-
 //                                               nothing arena shards
-//                                               drained by a work-stealing
-//                                               scheduler; deterministic
+//                                               drained on the runner's
+//                                               thread pool; deterministic
 //                                               fleet report on stdout,
 //                                               wall clock on stderr
 //   pcbound exact    [Ms= ns= cs= witness-dir= --threads=N]
@@ -138,7 +138,7 @@ int usage() {
       << "             json=0 out= timeline= stride=1 profile=0]\n"
       << "  serve     [arenas=4 sessions=4096 threads=0 policy=evacuating\n"
       << "             c=50 batch=16 resident=8 ops=48 maxlog=6 live=1024\n"
-      << "             seed=1 sample=64 audit=0 slice=32 json=0 out=\n"
+      << "             seed=1 sample=64 audit=0 json=0 out=\n"
       << "             timeline= arena-rows=32 profile=0 trace=FILE\n"
       << "             controller=fixed period=16 c1=1.0 smoothing=0.25]\n"
       << "  exact     [Ms=2,4,8 ns=2,4 cs=1,2,4,inf budget-cap=0\n"
@@ -549,21 +549,11 @@ int cmdReplay(const OptionParser &Opts) {
 /// comma-separated list), validating every name against the factory.
 std::vector<std::string> parsePolicyList(const OptionParser &Opts,
                                          const ScenarioOptions &S) {
-  std::vector<std::string> Policies;
-  std::string PolicyList = Opts.getString("policies", "all");
-  if (PolicyList != "all") {
-    std::istringstream IS(PolicyList);
-    std::string Item;
-    while (std::getline(IS, Item, ','))
-      if (!Item.empty())
-        Policies.push_back(Item);
-  } else if (S.Family == "compaction") {
-    Policies = compactionFamilyPolicies();
-  } else if (S.Family == "realloc") {
-    Policies = reallocManagerPolicies();
-  } else {
-    Policies = allManagerPolicies();
-  }
+  std::vector<std::string> Policies = parseNameList(Opts, "policies", "all");
+  if (Policies == std::vector<std::string>{"all"})
+    Policies = S.Family == "compaction" ? compactionFamilyPolicies()
+               : S.Family == "realloc"  ? reallocManagerPolicies()
+                                        : allManagerPolicies();
   if (Policies.empty())
     fail("policies= must name at least one policy");
   for (const std::string &Policy : Policies) {
@@ -1033,7 +1023,6 @@ int cmdServe(const OptionParser &Opts) {
   FO.NumArenas = unsigned(Opts.getUInt("arenas", 4));
   FO.NumSessions = Opts.getUInt("sessions", 4096);
   FO.Threads = unsigned(Opts.getUInt("threads", 0));
-  FO.SliceFlushes = std::max<uint64_t>(1, Opts.getUInt("slice", 32));
   FO.Shard.Policy = S.Policy;
   FO.Shard.C = S.C;
   FO.Shard.BatchSize = std::max<uint64_t>(1, Opts.getUInt("batch", 16));
@@ -1068,12 +1057,11 @@ int cmdServe(const OptionParser &Opts) {
   Fleet.run();
   FleetReport R = Fleet.report();
 
-  // Wall clock and scheduler observability are nondeterministic, so
-  // they go to stderr; stdout carries only the deterministic report.
+  // Wall clock is nondeterministic, so it goes to stderr; stdout
+  // carries only the deterministic report.
   double Wall = Fleet.wallSeconds();
   std::cerr << "# serve: wall " << formatDouble(Wall, 3) << "s, threads="
-            << Fleet.threads() << ", slices=" << Fleet.slices()
-            << ", steals=" << Fleet.steals() << ", "
+            << Fleet.threads() << ", "
             << uint64_t(Wall > 0.0 ? double(R.TotalSessions) / Wall : 0.0)
             << " sessions/s\n";
   if (FO.Prof)
